@@ -114,12 +114,16 @@ class EntropyDecoder:
 
     # -- lifecycle ------------------------------------------------------
 
-    def start(self, entropy_data: bytes) -> None:
-        """Attach the raw scan bytes and reset all decoding state."""
+    def start(self, entropy_data: bytes, next_restart: int = 0) -> None:
+        """Attach the raw scan bytes and reset all decoding state.
+
+        *next_restart* is the RSTn number the first restart marker in
+        *entropy_data* must carry (non-zero for a mid-scan chunk).
+        """
         self._reader = BitReader(entropy_data)
         self._preds = [0] * len(self._preds)
         self._mcus_done = 0
-        self._next_rst = 0
+        self._next_rst = next_restart & 7
         self._rows_done = 0
         self._row_byte_offsets = [0]
         self.coefficients = CoefficientBuffers.empty(self.geometry)

@@ -381,7 +381,9 @@ class FastEntropyDecoder:
         stores wrap modulo 2**16 (the stitcher's DC-delta patch is also
         modular, so wrapped speculative values still patch to the exact
         sequential result).  Undecodable Huffman codes still raise:
-        with no codeword length there is nothing to skip.
+        with no codeword length there is nothing to skip.  Every clamp
+        bumps :attr:`tolerated_faults`, so a caller can tell which MCUs
+        a strict decoder would have rejected.
         """
         if len(tables) != len(geometry.components):
             raise EntropyError(
@@ -391,6 +393,8 @@ class FastEntropyDecoder:
         self.geometry = geometry
         self.restart_interval = restart_interval
         self.tolerant = tolerant
+        #: Structural faults tolerant mode clamped instead of raising.
+        self.tolerated_faults = 0
         self._dc_tables = [fused_tables(t.dc, "dc") for t in tables]
         self._ac_tables = [fused_tables(t.ac, "ac") for t in tables]
         self._scan: ScanPrescan | None = None
@@ -417,8 +421,13 @@ class FastEntropyDecoder:
 
     # -- lifecycle ------------------------------------------------------
 
-    def start(self, entropy_data: bytes) -> None:
-        """Prescan the raw scan bytes and reset all decoding state."""
+    def start(self, entropy_data: bytes, next_restart: int = 0) -> None:
+        """Prescan the raw scan bytes and reset all decoding state.
+
+        *next_restart* is the RSTn number the first restart marker in
+        *entropy_data* must carry — non-zero when the bytes begin just
+        past a marker in the middle of a scan (a known-boundary chunk).
+        """
         self._scan = destuff_scan(entropy_data)
         self._payload = self._scan.payload
         self._acc = 0
@@ -429,7 +438,7 @@ class FastEntropyDecoder:
         self._set_segment_bounds()
         self._preds = [0] * len(self._preds)
         self._mcus_done = 0
-        self._next_rst = 0
+        self._next_rst = next_restart & 7
         self._rows_done = 0
         self._row_byte_offsets = [0]
         self.coefficients = CoefficientBuffers.empty(self.geometry)
@@ -524,6 +533,18 @@ class FastEntropyDecoder:
         return self._pos * 8 - real
 
     @property
+    def payload_exhausted(self) -> bool:
+        """True once every remaining payload byte is buffered and no
+        marker closes the segment.
+
+        From here on a peek pads with zeros while a read still raises,
+        so the decoder's future depends on how much padding it holds,
+        not on :attr:`bit_position` alone — a position recorded here is
+        no convergence point for the speculative engine.
+        """
+        return self._pos >= len(self._payload) and not self._seg_zero_feed
+
+    @property
     def dc_predictors(self) -> tuple[int, ...]:
         """Current per-component DC predictor values.
 
@@ -555,6 +576,7 @@ class FastEntropyDecoder:
 
         # Reader state -> locals.
         tolerant = self.tolerant
+        faults = self.tolerated_faults
         acc = self._acc
         nbits = self._nbits
         pos = self._pos
@@ -669,6 +691,7 @@ class FastEntropyDecoder:
                                     if s > 11:
                                         if tolerant:
                                             s = 0
+                                            faults += 1
                                         else:
                                             raise EntropyError(
                                                 f"DC category {s} out of range")
@@ -684,6 +707,7 @@ class FastEntropyDecoder:
                                 if s > 11:
                                     if tolerant:
                                         s = 0
+                                        faults += 1
                                     else:
                                         raise EntropyError(
                                             f"DC category {s} out of range")
@@ -734,12 +758,14 @@ class FastEntropyDecoder:
                                                 k += 16
                                                 continue
                                             if tolerant:
+                                                faults += 1
                                                 break
                                             raise EntropyError(
                                                 f"bad AC symbol {sym:#x}")
                                         k += run
                                         if k > 63:
                                             if tolerant:
+                                                faults += 1
                                                 _, acc, nbits, pos = \
                                                     _careful_read_bits(
                                                         size, acc, nbits, pos,
@@ -765,6 +791,7 @@ class FastEntropyDecoder:
                                         k += (e >> 12) & 0xF
                                         if k > 63:
                                             if tolerant:
+                                                faults += 1
                                                 break
                                             raise EntropyError(
                                                 "AC coefficient index overran "
@@ -802,12 +829,14 @@ class FastEntropyDecoder:
                                         k += 16
                                         continue
                                     if tolerant:
+                                        faults += 1
                                         break
                                     raise EntropyError(
                                         f"bad AC symbol {sym:#x}")
                                 k += run
                                 if k > 63:
                                     if tolerant:
+                                        faults += 1
                                         nbits -= size
                                         break
                                     raise EntropyError(
@@ -835,6 +864,7 @@ class FastEntropyDecoder:
             self._row_byte_offsets.append(off if off > last else last)
 
         # Locals -> state.
+        self.tolerated_faults = faults
         self._acc = acc
         self._nbits = nbits
         self._pos = pos

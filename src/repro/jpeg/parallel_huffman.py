@@ -12,20 +12,19 @@ This module implements that extension:
 
 - :func:`split_restart_segments` scans the entropy data for RSTn
   boundaries and returns the byte spans;
-- :func:`decode_segment_coefficients` / :func:`scatter_segment` decode
-  one segment in isolation and place its blocks into the global grid —
-  the unit of work :mod:`repro.service` fans out across a real worker
-  pool;
 - :class:`ParallelEntropyDecoder` decodes every segment independently
-  (results are bit-identical to the sequential decoder — tested) and
-  models the multi-core schedule: segments are greedily assigned to
-  ``cores`` workers (LPT order), giving the simulated speedup;
+  as a known-boundary chunk (:func:`repro.jpeg.speculative.decode_chunk`,
+  placed by :func:`~repro.jpeg.speculative.scatter_chunk`; results are
+  bit-identical to the sequential decoder — tested) and models the
+  multi-core schedule: segments are greedily assigned to ``cores``
+  workers (LPT order), giving the simulated speedup.
 
 The executors do not use it by default — the paper's pipeline relies on
 *in-order* row availability, which parallel segment decoding breaks —
 but the A7 ablation benchmark quantifies the opportunity, and the
-batched decode service (:mod:`repro.service`) exploits it for real
-wall-clock parallelism across processes.
+batched decode service (:mod:`repro.service`) exploits restart markers
+for real wall-clock parallelism across processes through the same
+known-boundary chunks (:func:`repro.jpeg.speculative.plan_scan`).
 
 Marker-free scans get a third fan-out mode: speculative
 self-synchronizing decode (:mod:`repro.jpeg.speculative`), wrapped here
@@ -42,7 +41,7 @@ import numpy as np
 from ..errors import EntropyError
 from .blocks import ImageGeometry
 from .entropy import CoefficientBuffers, ComponentTables
-from .fast_entropy import create_entropy_decoder, destuff_scan
+from .fast_entropy import destuff_scan
 
 
 @dataclass(frozen=True)
@@ -92,78 +91,6 @@ def split_restart_segments(entropy_data: bytes, total_mcus: int,
     return segments
 
 
-def decode_segment_coefficients(
-    seg: RestartSegment,
-    segment_bytes: bytes,
-    geometry: ImageGeometry,
-    tables: list[ComponentTables],
-    entropy_engine: str = "fast",
-) -> list[np.ndarray]:
-    """Entropy-decode one restart segment in complete isolation.
-
-    Restart segments are byte-aligned and reset their DC predictions, so
-    each one decodes with a fresh sequential decoder over a *virtual*
-    1-MCU-row image covering exactly its MCUs (the scan order inside an
-    MCU is position-independent).  Returns the virtual image's
-    coefficient planes, ready for :func:`scatter_segment`.
-
-    This function is self-contained and picklable-argument-only on
-    purpose: the batched decode service ships it to process-pool
-    workers.
-    """
-    virt = ImageGeometry(seg.mcu_count * geometry.mcu_width,
-                         geometry.mcu_height, geometry.mode)
-    vdec = create_entropy_decoder(entropy_engine, virt, tables,
-                                  restart_interval=0)
-    vdec.start(segment_bytes)
-    vdec.decode_mcu_rows(1)
-    return vdec.coefficients.planes
-
-
-def segment_plane_nbytes(seg: RestartSegment,
-                         geometry: ImageGeometry) -> list[int]:
-    """Byte sizes of the planes :func:`decode_segment_coefficients`
-    returns for *seg*, in order.
-
-    Derived from the same virtual single-MCU-row geometry the decode
-    uses, so a caller sizing a transport buffer (the batched service's
-    shared-memory lease) can never drift out of step with the actual
-    payload layout: one int16 8x8 block per ``blocks_total`` entry.
-    """
-    virt = ImageGeometry(seg.mcu_count * geometry.mcu_width,
-                         geometry.mcu_height, geometry.mode)
-    block_nbytes = 8 * 8 * np.dtype(np.int16).itemsize
-    return [c.blocks_total * block_nbytes for c in virt.components]
-
-
-def scatter_segment(
-    seg: RestartSegment,
-    planes: list[np.ndarray],
-    geometry: ImageGeometry,
-    out: CoefficientBuffers,
-) -> None:
-    """Place one segment's virtual-image *planes* into the global grid.
-
-    Virtual MCU *j* maps to global MCU ``seg.mcu_start + j``; each
-    component block is copied to its row-major position in *out*.
-    """
-    virt = ImageGeometry(seg.mcu_count * geometry.mcu_width,
-                         geometry.mcu_height, geometry.mode)
-    for ci, comp in enumerate(geometry.components):
-        vcomp = virt.components[ci]
-        src = planes[ci]
-        dst = out.planes[ci]
-        for j in range(seg.mcu_count):
-            g = seg.mcu_start + j
-            grow, gcol = divmod(g, geometry.mcus_per_row)
-            for v in range(comp.v_factor):
-                for h in range(comp.h_factor):
-                    sidx = v * vcomp.blocks_wide + j * comp.h_factor + h
-                    didx = ((grow * comp.v_factor + v) * comp.blocks_wide
-                            + gcol * comp.h_factor + h)
-                    dst[didx] = src[sidx]
-
-
 def _lpt_makespan(work: list[float], cores: int) -> float:
     """Longest-processing-time-first schedule length on *cores* workers."""
     loads = [0.0] * max(1, cores)
@@ -206,17 +133,21 @@ class ParallelEntropyDecoder:
 
     def _decode_segment(self, seg: RestartSegment, data: bytes,
                         out: CoefficientBuffers) -> None:
-        """Decode one segment into the right slice of *out*.
-
-        Segments start and end on MCU-row boundaries only if the
-        interval divides the row width, so the segment is decoded into a
-        scratch buffer in scan order and then scattered into the global
-        block grid.
-        """
-        planes = decode_segment_coefficients(
-            seg, data[seg.byte_start: seg.byte_stop], self.geometry,
-            self.tables, self.entropy_engine)
-        scatter_segment(seg, planes, self.geometry, out)
+        """Decode one segment in isolation and scatter its MCUs into
+        the right slots of *out* (segments start and end on MCU-row
+        boundaries only if the interval divides the row width)."""
+        geo = self.geometry
+        chunk = SpeculativeChunk(
+            index=seg.index, count=1, start=seg.byte_start,
+            stop=seg.byte_stop, window_stop=seg.byte_stop,
+            slice_stop=seg.byte_stop, last=True, mcu_start=seg.mcu_start,
+            mcu_count=seg.mcu_count)
+        trace = decode_chunk(
+            chunk, data[seg.byte_start:seg.byte_stop],
+            (geo.width, geo.height, geo.mode, geo.ncomponents),
+            self.tables, self.entropy_engine, None, self.restart_interval)
+        scatter_chunk(trace, 0, seg.mcu_start, seg.mcu_count,
+                      np.zeros(len(self.tables), dtype=np.int64), geo, out)
 
     def decode(self, entropy_data: bytes, cores: int = 4,
                ns_per_byte: float = 13.0,
@@ -296,7 +227,7 @@ class SpeculativeEntropyDecoder:
         scan = destuff_scan(entropy_data)
         n_chunks = self.chunk_count if self.chunk_count else max(1, cores)
         chunks = plan_chunks(len(scan.payload), n_chunks, self.overlap)
-        geo_args = (geo.width, geo.height, geo.mode)
+        geo_args = (geo.width, geo.height, geo.mode, geo.ncomponents)
         payload = scan.payload
         tasks = [
             (c, payload[c.start:c.slice_stop], geo_args, self.tables,
@@ -337,7 +268,9 @@ from .speculative import (  # noqa: E402
     SpeculativeReport,
     _decode_chunk_star,
     _sequential as _sequential_oracle,
+    decode_chunk,
     make_repairer,
     plan_chunks,
+    scatter_chunk,
     stitch_chunks,
 )

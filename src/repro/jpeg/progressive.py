@@ -447,11 +447,6 @@ class ProgressiveDecoder:
             self.units_done = unit + 1
 
 
-def decode_progressive(info: JpegImageInfo) -> CoefficientBuffers:
-    """Decode every scan of a parsed SOF2 stream into coefficients."""
-    return ProgressiveDecoder(info).decode()
-
-
 # ---------------------------------------------------------------------------
 # Encoder.
 # ---------------------------------------------------------------------------

@@ -35,21 +35,29 @@ The pipeline here:
    the scan sequentially — the retained sequential path stays the
    bit-identity (and error-identity) oracle.
 
-The service integration (:class:`~repro.service.batch.BatchDecoder`)
-ships :func:`decode_speculative_chunk` to worker processes as a third
-fan-out mode next to whole-image and restart-segment tasks.
+Restart markers are the other boundary kind.  :func:`plan_scan` is the
+one planner the batched service (:class:`~repro.service.batch.BatchDecoder`)
+uses: in a DRI scan whose RSTn count matches its interval each cut
+snaps to the nearest marker, so the boundary is *known* — byte-aligned,
+DC predictors reset, first MCU exact — and the chunk decodes strictly
+(:func:`decode_chunk`); in a marker-free scan the cut is *speculated* as
+above.  Both kinds join through the same :func:`stitch_chunks`, and a
+scan that fits neither is a one-chunk (whole-image) plan.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from typing import Any
 
 import numpy as np
 
 from ..errors import EntropyError
 from .blocks import ImageGeometry
 from .entropy import CoefficientBuffers, ComponentTables
-from .fast_entropy import FastEntropyDecoder, ScanPrescan, destuff_scan
+from .fast_entropy import (FastEntropyDecoder, ScanPrescan,
+                           create_entropy_decoder, destuff_scan)
 
 #: Chunks shorter than this are not worth a task dispatch; the planner
 #: lowers the chunk count until every chunk clears it.
@@ -73,27 +81,46 @@ _MIN_BITS_PER_BLOCK = 2
 
 @dataclass(frozen=True)
 class SpeculativeChunk:
-    """One speculative decode unit over the destuffed payload."""
+    """One chunk of a scan's fan-out plan.
+
+    A *speculated* chunk indexes the destuffed payload and starts at a
+    guessed byte offset.  A *known* chunk starts just past an RSTn
+    marker (or at the scan origin) and indexes the original, still
+    byte-stuffed scan bytes, which the entropy engines destuff
+    themselves.
+    """
 
     index: int
     #: Total chunks in the plan (workers size budgets from it).
     count: int
-    #: Payload byte offset the decoder starts at (byte-aligned guess;
-    #: exact for chunk 0).
+    #: Byte offset the decoder starts at (byte-aligned guess; exact for
+    #: chunk 0 and every known chunk).
     start: int
-    #: Nominal chunk end — the next chunk's ``start``.
+    #: Nominal chunk end — the next chunk's ``start`` (a known chunk
+    #: stops at the RSTn marker that closes its last segment).
     stop: int
     #: End of the convergence window: ``stop`` + overlap (the region
     #: where the *successor* must meet this chunk's trace).
     window_stop: int
-    #: End of the payload slice shipped to the worker (window + slack).
+    #: End of the slice shipped to the worker (window + slack; a known
+    #: chunk ships its closing marker so the engines zero-feed there
+    #: exactly as the sequential decode does).
     slice_stop: int
     #: True for the final chunk (decodes through the scan terminator).
     last: bool
+    #: First MCU of a known chunk; None for a speculated one.
+    mcu_start: int | None = None
+    #: MCUs a known chunk owns (0 for a speculated one).
+    mcu_count: int = 0
+
+    @property
+    def known(self) -> bool:
+        """True when the chunk starts at an exact restart boundary."""
+        return self.mcu_start is not None
 
     @property
     def nbytes(self) -> int:
-        """Payload bytes shipped for this chunk."""
+        """Bytes shipped for this chunk."""
         return self.slice_stop - self.start
 
 
@@ -109,6 +136,15 @@ class ChunkTrace:
     ``bpm`` is the component's blocks per MCU.  A decode error inside
     the chunk is *recorded*, never raised — whether it matters depends
     on whether the error fell inside the MCU range the stitcher needs.
+    ``tolerated`` lists (ascending) the local MCUs in which the tolerant
+    decoder clamped a fault a strict decoder raises on; past the sync
+    point such an MCU is real damage, never usable output.  Only
+    ``positions[:exact]`` (all of them when ``exact`` is None) are exact
+    parse states: later ones were recorded with the slice exhausted
+    (:attr:`~repro.jpeg.fast_entropy.FastEntropyDecoder.payload_exhausted`)
+    and serve as neither sync points nor repair frontiers.  A known
+    chunk's trace carries no positions: its MCUs are placed by the
+    chunk's own ``mcu_start``.
     """
 
     index: int
@@ -119,6 +155,14 @@ class ChunkTrace:
     planes: list[np.ndarray] | None
     error_type: str | None = None
     error: str | None = None
+    tolerated: np.ndarray = field(
+        default_factory=lambda: np.zeros(0, dtype=np.int64))
+    exact: int | None = None
+
+    @property
+    def exact_mcus(self) -> int:
+        """Leading MCUs whose end positions are exact parse states."""
+        return self.mcus if self.exact is None else self.exact
 
 
 @dataclass
@@ -184,6 +228,8 @@ def chunk_mcu_budget(chunk: SpeculativeChunk,
     even with degenerate 1-bit Huffman codes; the smaller bound sizes
     the chunk's virtual geometry (and so its plane allocation).
     """
+    if chunk.known:
+        return chunk.mcu_count
     total = geometry.total_mcus
     bpm = sum(c.h_factor * c.v_factor for c in geometry.components)
     cap = total + 2
@@ -201,6 +247,14 @@ MAX_RESTARTS = 64
 #: Bits to back off from a misparse point when restarting — the wrong
 #: codeword began at most one max-length code plus magnitude earlier.
 _RESTART_BACKOFF_BITS = 24
+
+
+def _virtual(geometry: ImageGeometry, mcus: int) -> ImageGeometry:
+    """One-MCU-per-row geometry holding *mcus* MCUs of *geometry*: local
+    MCU *j* owns blocks ``[j * bpm, (j + 1) * bpm)`` of each component,
+    the layout :func:`scatter_chunk` places."""
+    return ImageGeometry(geometry.mcu_width, max(1, mcus) * geometry.mcu_height,
+                         geometry.mode, geometry.ncomponents)
 
 
 def decode_speculative_chunk(
@@ -241,8 +295,7 @@ def decode_speculative_chunk(
             " (it alone exposes exact bit positions)")
     geometry = ImageGeometry(*geometry_args)
     budget = chunk_mcu_budget(chunk, geometry)
-    virtual = ImageGeometry(geometry.mcu_width,
-                            budget * geometry.mcu_height, geometry.mode)
+    virtual = _virtual(geometry, budget)
     local = ScanPrescan(payload=bytes(slice_bytes), terminator=terminator)
     limit_bits = (chunk.window_stop - chunk.start) * 8
     base_bit = chunk.start * 8
@@ -255,12 +308,13 @@ def decode_speculative_chunk(
     decoder = None
     positions: list[int] = []
     dcs: list[tuple[int, ...]] = []
-    err_type = err_msg = None
+    faults: list[int] = []
+    err_type = err_msg = exact_mcus = None
     while True:
         decoder = FastEntropyDecoder(virtual, tables, 0, tolerant=not exact)
         decoder.start_prescanned(local, attempt_bit)
-        positions, dcs = [], []
-        err_type = err_msg = None
+        positions, dcs, faults = [], [], []
+        err_type = err_msg = exact_mcus = None
         # Past the payload end the final chunk may legitimately
         # zero-feed a few more MCUs (partial-bit tails); grace bounds
         # that overshoot so a bitless tail cannot spin the budget down
@@ -271,6 +325,7 @@ def decode_speculative_chunk(
                 if not chunk.last or grace == 0:
                     break
                 grace -= 1
+            tolerated = decoder.tolerated_faults
             try:
                 decoder.decode_mcu_rows(1)
             except Exception as exc:  # misspeculation evidence
@@ -283,6 +338,10 @@ def decode_speculative_chunk(
                     break
                 err_type, err_msg = type(exc).__name__, str(exc)
                 break
+            if decoder.tolerated_faults != tolerated:
+                faults.append(len(positions))
+            if exact_mcus is None and decoder.payload_exhausted:
+                exact_mcus = len(positions)
             positions.append(base_bit + decoder.bit_position)
             dcs.append(decoder.dc_predictors)
         if err_type is None or restarts == 0:
@@ -308,7 +367,42 @@ def decode_speculative_chunk(
         positions=np.asarray(positions, dtype=np.int64),
         dc_trace=(np.asarray(dcs, dtype=np.int64)
                   if dcs else np.zeros((0, ncomp), dtype=np.int64)),
-        planes=planes, error_type=err_type, error=err_msg)
+        planes=planes, error_type=err_type, error=err_msg,
+        tolerated=np.asarray(faults, dtype=np.int64), exact=exact_mcus)
+
+
+def decode_chunk(
+    chunk: SpeculativeChunk,
+    data: bytes,
+    geometry_args: tuple,
+    tables: list[ComponentTables],
+    engine: str = "fast",
+    terminator: int | None = None,
+    restart_interval: int = 0,
+) -> ChunkTrace:
+    """Decode one planned chunk — the unit of work the batched service
+    ships to its workers.
+
+    A speculated chunk runs :func:`decode_speculative_chunk` (fast
+    engine only).  A known chunk decodes *strictly* with *engine* from
+    its restart boundary: *data* is the original scan bytes from just
+    past the opening RSTn through the closing one, the restart sequence
+    resumes at the chunk's own segment number, and any decode error
+    raises — the caller then falls back to the sequential oracle.
+    """
+    if not chunk.known:
+        return decode_speculative_chunk(chunk, data, geometry_args, tables,
+                                        engine, terminator)
+    geometry = ImageGeometry(*geometry_args)
+    decoder = create_entropy_decoder(
+        engine, _virtual(geometry, chunk.mcu_count), tables, restart_interval)
+    decoder.start(data, next_restart=chunk.mcu_start // restart_interval)
+    decoder.decode_mcu_rows(chunk.mcu_count)
+    return ChunkTrace(
+        index=chunk.index, start_bit=0, mcus=chunk.mcu_count,
+        positions=np.zeros(0, dtype=np.int64),
+        dc_trace=np.zeros((0, len(tables)), dtype=np.int64),
+        planes=decoder.coefficients.planes)
 
 
 def scatter_chunk(trace: ChunkTrace, first_local: int, first_global: int,
@@ -365,8 +459,9 @@ def _find_sync(prev: ChunkTrace, prev_sync: int, cur: ChunkTrace,
     p = prev.positions
     # The chunk's own (possibly restarted) attempt start is a candidate
     # sync point too (index 0 in the extended trace = "no MCUs decoded
-    # yet, predictors 0").
-    q = np.concatenate(([np.int64(cur.start_bit)], cur.positions))
+    # yet, predictors 0"); only exact positions qualify.
+    q = np.concatenate(([np.int64(cur.start_bit)],
+                        cur.positions[:cur.exact_mcus]))
     pw = p[np.searchsorted(p, lo, "left"):np.searchsorted(p, hi, "right")]
     qw = q[np.searchsorted(q, lo, "left"):np.searchsorted(q, hi, "right")]
     if not (_strictly_increasing(pw) and _strictly_increasing(qw)):
@@ -380,6 +475,31 @@ def _find_sync(prev: ChunkTrace, prev_sync: int, cur: ChunkTrace,
     return None
 
 
+def _trusted_mcus(trace: ChunkTrace, first: int,
+                  delta: np.ndarray) -> int:
+    """MCUs of *trace* from local MCU *first* on that a strict decode
+    would produce too.
+
+    The count stops before the first MCU in which the tolerant decoder
+    clamped a fault, and before the first MCU whose true DC predictor
+    (the trace's modular one plus *delta*) leaves the int16 range the
+    strict decoder stores — both are errors of the true parse, so that
+    output must never be emitted.
+    """
+    n = trace.mcus - first
+    faults = trace.tolerated
+    i = int(np.searchsorted(faults, first))
+    if i < len(faults):
+        n = min(n, int(faults[i]) - first)
+    if len(trace.dc_trace) > first:
+        true_dc = trace.dc_trace[first:trace.mcus] + delta
+        bad = np.flatnonzero(np.any((true_dc < -0x8000) | (true_dc > 0x7FFF),
+                                    axis=1))
+        if len(bad):
+            n = min(n, int(bad[0]))
+    return max(0, n)
+
+
 def stitch_chunks(
     traces: list[ChunkTrace | None],
     chunks: list[SpeculativeChunk],
@@ -389,23 +509,27 @@ def stitch_chunks(
     """Verify convergence and merge chunk traces into the global grid.
 
     Walks the chunks front to back maintaining a *trusted* trace:
-    chunk 0 is exact by construction; each later chunk must share a bit
-    position with the trusted trace inside the overlap window.  A match
-    fixes the chunk's global MCU base and its per-component DC delta
-    (trusted predictors minus speculative predictors at the sync
-    point), and the chunk becomes the new trusted trace.
+    chunk 0 is exact by construction.  A known chunk is trusted as is:
+    it starts at its own ``mcu_start`` with DC delta 0, and its
+    predecessor must cover every MCU before it.  Each speculated chunk
+    must share a bit position with the trusted trace inside the overlap
+    window.  A match fixes the chunk's global MCU base and its
+    per-component DC delta (trusted predictors minus speculative
+    predictors at the sync point), and the chunk becomes the new
+    trusted trace.  Trusted output ends before any MCU in which the
+    tolerant decoder clamped a fault (see :func:`_trusted_mcus`).
 
-    A chunk that never converges (or is missing, e.g. a crashed worker)
-    is *repaired* when a ``repair(start_bit, max_mcus, limit_bit)``
-    callback is given: the callback decodes sequentially from the
-    trusted frontier — a true MCU boundary — through the failed chunk's
-    span, and the walk resumes syncing the next chunk against that
-    repair trace.  Misspeculation then costs one chunk's sequential
-    decode, not the scan's.  Without a callback, or when coverage still
-    cannot be established, the stitch fails — ``(None, report)`` with
-    ``fallback`` set — and the caller re-decodes the whole scan
-    sequentially.  On success the returned buffers are bit-identical to
-    the sequential decode.
+    A speculated chunk that never converges (or is missing, e.g. a
+    crashed worker) is *repaired* when a ``repair(start_bit, max_mcus,
+    limit_bit)`` callback is given: the callback decodes sequentially
+    from the trusted frontier — a true MCU boundary — through the
+    failed chunk's span, and the walk resumes syncing the next chunk
+    against that repair trace.  Misspeculation then costs one chunk's
+    sequential decode, not the scan's.  A missing known chunk, no
+    callback, or coverage that still cannot be established fails the
+    stitch — ``(None, report)`` with ``fallback`` set — and the caller
+    re-decodes the whole scan sequentially.  On success the returned
+    buffers are bit-identical to the sequential decode.
     """
     total = geometry.total_mcus
     n_chunks = len(chunks)
@@ -433,19 +557,31 @@ def stitch_chunks(
 
     def frontier_after(count: int) -> tuple[int, np.ndarray]:
         """Bit position and true predictors after *count* trusted MCUs."""
-        if count > 0:
-            j = T_sync + count - 1
+        j = T_sync + count - 1
+        if j >= 0:
             return int(T.positions[j]), T_delta + T.dc_trace[j]
         return T.start_bit, T_delta
 
     complete = False
     k = 1
     while k < n_chunks:
-        cur = traces[k]
+        cur, chunk = traces[k], chunks[k]
+        usable = _trusted_mcus(T, T_sync, T_delta)
+        if chunk.known:
+            count = chunk.mcu_start - T_base
+            if cur is None or usable < count:
+                return fail(f"known chunk {k} is missing or its "
+                            f"predecessor stops short of it", k)
+            emissions.append((T, T_sync, T_base, count, T_delta))
+            T, T_sync, T_base = cur, 0, chunk.mcu_start
+            T_delta = np.zeros(ncomp, dtype=np.int64)
+            k += 1
+            continue
         sync = None
-        if cur is not None and T.mcus > T_sync:
-            lo = chunks[k].start * 8
-            hi = int(T.positions[-1])
+        reach = min(usable, T.exact_mcus - T_sync)
+        if cur is not None and reach > 0:
+            lo = chunk.start * 8
+            hi = int(T.positions[T_sync + reach - 1])
             sync = _find_sync(T, T_sync, cur, lo, hi)
         if sync is not None:
             j_prev, i_cur = sync
@@ -465,14 +601,17 @@ def stitch_chunks(
         report.misspeculated.append(k)
         if repair is None:
             return fail(f"chunk {k} never converged in its overlap")
-        count = min(T.mcus - T_sync, total - T_base)
+        count = min(usable, total - T_base)
+        if T_base + count < total:
+            # The repair must start from an exact parse state.
+            count = min(count, T.exact_mcus - T_sync)
         emissions.append((T, T_sync, T_base, count, T_delta))
         frontier_mcu = T_base + count
         if frontier_mcu >= total:
             complete = True
             break
         frontier_bit, frontier_preds = frontier_after(count)
-        limit_bit = chunks[k].window_stop * 8
+        limit_bit = chunk.window_stop * 8
         R = repair(frontier_bit, total - frontier_mcu, limit_bit)
         if R.mcus == 0:
             return fail(
@@ -484,16 +623,16 @@ def stitch_chunks(
 
     # --- final coverage through the last MCU -------------------------
     count = total - T_base
+    have = _trusted_mcus(T, T_sync, T_delta)
     if complete:
         pass
-    elif count > T.mcus - T_sync:
-        if repair is None:
+    elif count > have:
+        if repair is None or chunks[-1].known:
             return fail(
-                f"final chunk covers {T.mcus - T_sync} MCUs of the "
-                f"{count} it owns"
+                f"final chunk covers {have} MCUs of the {count} it owns"
                 + (f" ({T.error_type}: {T.error})" if T.error_type else ""),
                 n_chunks - 1)
-        have = T.mcus - T_sync
+        have = min(have, T.exact_mcus - T_sync)
         emissions.append((T, T_sync, T_base, have, T_delta))
         frontier_bit, frontier_preds = frontier_after(have)
         R = repair(frontier_bit, total - T_base - have, None)
@@ -530,6 +669,122 @@ def speculative_eligible(restart_interval: int,
     return restart_interval == 0 and prescan.restart_count == 0
 
 
+@dataclass(frozen=True)
+class ChunkPlan:
+    """How one scan fans out: its chunks, all known or all speculated.
+
+    A plan without chunks is a one-chunk plan — the image decodes whole.
+    """
+
+    chunks: tuple[SpeculativeChunk, ...] = ()
+    #: The parsed image (:class:`~repro.jpeg.markers.JpegImageInfo`).
+    info: Any = None
+    #: The destuffed scan the chunks were cut from.
+    prescan: ScanPrescan | None = None
+    tables: tuple[ComponentTables, ...] = ()
+
+    @property
+    def units(self) -> int:
+        """Decode units the plan dispatches (1 for a whole image)."""
+        return len(self.chunks) or 1
+
+    @property
+    def known(self) -> bool:
+        """True when every boundary is an exact restart boundary."""
+        return bool(self.chunks) and self.chunks[0].known
+
+    def task(self, k: int, engine: str) -> tuple:
+        """:func:`decode_chunk` arguments for chunk *k* under *engine*."""
+        chunk, info, scan = self.chunks[k], self.info, self.prescan
+        geo = info.geometry
+        data = info.entropy_data if chunk.known else scan.payload
+        terminator = (scan.terminator if not chunk.known
+                      and chunk.slice_stop == len(scan.payload) else None)
+        return (chunk, data[chunk.start:chunk.slice_stop],
+                (geo.width, geo.height, geo.mode, geo.ncomponents),
+                self.tables, engine, terminator, info.restart_interval)
+
+    def plane_nbytes(self, k: int) -> list[int]:
+        """Upper bounds on the int16 coefficient planes chunk *k*
+        returns, per component (transport buffer sizing)."""
+        geo = self.info.geometry
+        mcus = chunk_mcu_budget(self.chunks[k], geo)
+        return [mcus * c.blocks_per_mcu * 64 * 2 for c in geo.components]
+
+
+#: The one-chunk plan: decode the image whole.
+WHOLE_IMAGE = ChunkPlan()
+
+
+def plan_scan(info, chunk_count: int,
+              overlap: int = DEFAULT_OVERLAP_BYTES, *,
+              known: bool = True, speculate: bool = True) -> ChunkPlan:
+    """Cut a baseline scan into at most *chunk_count* chunks.
+
+    In a DRI scan whose RSTn markers match the interval in count and
+    sequence, each even cut of the destuffed payload snaps to the
+    nearest marker: every boundary is known.  A marker-free scan is cut
+    by :func:`plan_chunks` into speculated chunks.  Everything else —
+    *known*/*speculate* disallowing the scan's kind, a progressive
+    frame, a restart structure the sequential decoder would reject, a
+    stray RSTn in a marker-free scan, or a plan that degenerates to one
+    chunk — is :data:`WHOLE_IMAGE`.
+    """
+    from .decoder import component_tables_from_info
+
+    interval = info.restart_interval
+    if chunk_count < 2 or info.progressive \
+            or not (known if interval else speculate):
+        return WHOLE_IMAGE
+    scan = destuff_scan(info.entropy_data)
+    if interval:
+        chunks = _known_chunks(info, scan, chunk_count)
+    elif speculative_eligible(interval, scan):
+        chunks = plan_chunks(len(scan.payload), chunk_count, overlap)
+    else:
+        chunks = []
+    if len(chunks) < 2:
+        return WHOLE_IMAGE
+    return ChunkPlan(tuple(chunks), info, scan,
+                     tuple(component_tables_from_info(info)))
+
+
+def _known_chunks(info, scan: ScanPrescan,
+                  chunk_count: int) -> list[SpeculativeChunk]:
+    """Restart-boundary chunks of a DRI scan (empty when its markers
+    do not match the interval)."""
+    interval = info.restart_interval
+    total = info.geometry.total_mcus
+    segments = -(-total // interval)
+    markers = scan.marker_payload_offsets
+    if not markers or len(markers) != segments - 1 or any(
+            v != 0xD0 + (m & 7) for m, v in enumerate(scan.marker_values)):
+        return []
+    n = len(scan.payload)
+    cuts = set()
+    for i in range(1, chunk_count):
+        target = n * i // chunk_count
+        j = bisect_left(markers, target)
+        if j and (j == len(markers)
+                  or target - markers[j - 1] <= markers[j] - target):
+            j -= 1
+        cuts.add(j + 1)   # the segment after marker j starts the chunk
+    bounds = [0, *sorted(cuts), segments]
+    offsets = scan.marker_orig_offsets
+    size = len(info.entropy_data)
+    chunks = []
+    for k, (a, b) in enumerate(zip(bounds, bounds[1:])):
+        last = b == segments
+        stop = size if last else offsets[b - 1]
+        chunks.append(SpeculativeChunk(
+            index=k, count=len(bounds) - 1,
+            start=offsets[a - 1] + 2 if a else 0, stop=stop,
+            window_stop=stop, slice_stop=size if last else stop + 2,
+            last=last, mcu_start=a * interval,
+            mcu_count=min(b * interval, total) - a * interval))
+    return chunks
+
+
 def decode_coefficients_speculative(
     info,
     chunk_count: int,
@@ -560,16 +815,11 @@ def decode_coefficients_speculative(
                                    reason="scan not speculative-eligible")
         return _sequential(scan, geometry, tables,
                            info.restart_interval), report
-    chunks = plan_chunks(len(scan.payload), chunk_count, overlap)
-    geo_args = (geometry.width, geometry.height, geometry.mode)
-    payload = scan.payload
-    tasks = [
-        (c, payload[c.start:c.slice_stop], geo_args, tables, engine,
-         scan.terminator if c.slice_stop == len(payload) else None)
-        for c in chunks
-    ]
-    traces = list(map_fn(_decode_chunk_star, tasks))
-    out, report = stitch_chunks(traces, chunks, geometry,
+    plan = ChunkPlan(tuple(plan_chunks(len(scan.payload), chunk_count,
+                                       overlap)), info, scan, tuple(tables))
+    traces = list(map_fn(_decode_chunk_star,
+                         [plan.task(k, engine) for k in range(plan.units)]))
+    out, report = stitch_chunks(traces, plan.chunks, geometry,
                                 repair=make_repairer(scan, geometry, tables))
     if out is None:
         return _sequential(scan, geometry, tables,
@@ -579,7 +829,7 @@ def decode_coefficients_speculative(
 
 def _decode_chunk_star(args) -> ChunkTrace:
     """Tuple-splat adapter for ``map``-style executors."""
-    return decode_speculative_chunk(*args)
+    return decode_chunk(*args)
 
 
 def make_repairer(scan: ScanPrescan, geometry: ImageGeometry,
@@ -598,14 +848,12 @@ def make_repairer(scan: ScanPrescan, geometry: ImageGeometry,
 
     def repair(start_bit: int, max_mcus: int,
                limit_bit: int | None) -> ChunkTrace:
-        virtual = ImageGeometry(geometry.mcu_width,
-                                max(1, max_mcus) * geometry.mcu_height,
-                                geometry.mode)
+        virtual = _virtual(geometry, max_mcus)
         decoder = FastEntropyDecoder(virtual, tables, 0)
         decoder.start_prescanned(scan, start_bit)
         positions: list[int] = []
         dcs: list[tuple[int, ...]] = []
-        err_type = err_msg = None
+        err_type = err_msg = exact = None
         while len(positions) < max_mcus:
             if limit_bit is not None and decoder.bit_position >= limit_bit:
                 break
@@ -614,6 +862,8 @@ def make_repairer(scan: ScanPrescan, geometry: ImageGeometry,
             except Exception as exc:
                 err_type, err_msg = type(exc).__name__, str(exc)
                 break
+            if exact is None and decoder.payload_exhausted:
+                exact = len(positions)
             positions.append(decoder.bit_position)
             dcs.append(decoder.dc_predictors)
         mcus = len(positions)
@@ -628,7 +878,7 @@ def make_repairer(scan: ScanPrescan, geometry: ImageGeometry,
             positions=np.asarray(positions, dtype=np.int64),
             dc_trace=(np.asarray(dcs, dtype=np.int64)
                       if dcs else np.zeros((0, ncomp), dtype=np.int64)),
-            planes=planes, error_type=err_type, error=err_msg)
+            planes=planes, error_type=err_type, error=err_msg, exact=exact)
 
     return repair
 

@@ -2,11 +2,11 @@
 
 This package scales the single-image pipeline to traffic: batches of
 JPEG bytes fan out across a process/thread worker pool, each image
-riding the PR-1 fused fast-path entropy engine (restart-segment
-parallelism via :mod:`repro.jpeg.parallel_huffman` where DRI permits,
-speculative chunk fan-out via :mod:`repro.jpeg.speculative` for
-marker-free scans, whole-scan tasks otherwise), with a bounded
-submission queue for backpressure and per-batch statistics.
+riding the PR-1 fused fast-path entropy engine (one chunk plan per
+image via :mod:`repro.jpeg.speculative`: chunks cut at restart markers
+where DRI permits, at speculated offsets for marker-free scans, one
+whole-scan task otherwise), with a bounded submission queue for
+backpressure and per-batch statistics.
 
 Public surface (serving front ends first — the recommended entry
 points):
@@ -30,8 +30,6 @@ points):
   --hosts``, Eq 5/6 + EWMA placement across hosts with failover and
   breaker-guarded re-admission)
 - :class:`BatchDecoder` — decode one batch across a worker pool
-- :class:`DecodeService` — the legacy pull-driven front end, now a thin
-  facade over :class:`~repro.service.session.DecodeSession`
 - :class:`ImageRequest` / :class:`ImageResult` / :class:`BatchResult`
 - :class:`~repro.service.scheduler.ModelScheduler` — model-guided
   cross-image batch scheduling (LPT over per-lane predicted costs,
@@ -63,7 +61,7 @@ points):
   :func:`~repro.service.obs.render_prometheus` behind ``GET /metrics``
 
 CLI: ``repro serve`` (HTTP front end) and ``repro serve-batch``
-(pull-driven batch loop; ``--schedule model|roundrobin`` turns the
+(pull-driven batch loop over a pump-less session; ``--schedule model|roundrobin`` turns the
 scheduler on).  Benchmarks:
 ``benchmarks/bench_service_throughput.py`` (throughput sweep),
 ``benchmarks/bench_service_latency.py`` (open-loop latency vs offered
@@ -79,7 +77,6 @@ from .batch import (
     PRIORITY_NORMAL,
     BatchDecoder,
     BatchResult,
-    DecodeService,
     ImageRequest,
     ImageResult,
     parse_priority,
@@ -146,7 +143,6 @@ __all__ = [
     "BatchStats",
     "DecodeHTTPServer",
     "DecodeHandle",
-    "DecodeService",
     "DecodeSession",
     "DecodeWorkerHost",
     "ExecutorLane",

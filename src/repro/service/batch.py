@@ -1,38 +1,32 @@
-"""Batched multi-image decoding: :class:`BatchDecoder` and
-:class:`DecodeService`.
+"""Batched multi-image decoding: :class:`BatchDecoder`.
 
 The paper keeps one image's Huffman decode sequential and fills the
 hardware with the *pixel* stages; a decode service amortizes the other
 way too — across images.  :class:`BatchDecoder` fans a batch of JPEG
-requests out over a :class:`~repro.service.workers.WorkerPool`:
+requests out over a :class:`~repro.service.workers.WorkerPool`.  Every
+image gets one :class:`~repro.jpeg.speculative.ChunkPlan`
+(:func:`~repro.jpeg.speculative.plan_scan`):
 
-- one task per image (the common case), each running the destuffing
-  prescan + fused fast-path entropy decode and the numpy pixel stages;
-- or, when an image carries restart markers (DRI) and the batch alone
-  cannot fill the pool, one task per *restart segment*
-  (:func:`repro.jpeg.parallel_huffman.decode_segment_coefficients`),
-  merged back into a whole-image coefficient grid and finished through
-  :func:`repro.jpeg.decoder.pixels_from_coefficients`;
-- or, for *marker-free* scans (DRI=0) under the same underfilled-pool
-  condition, one task per *speculative chunk*
-  (:mod:`repro.jpeg.speculative`): optimistic decoders started at
-  guessed byte offsets, stitched back by bit-position convergence with
-  per-chunk sequential repair of misspeculated gaps — bit-identical to
-  the sequential oracle either way.
+- a one-chunk plan — the common case — runs the whole decode (the
+  destuffing prescan + fused fast-path entropy decode and the numpy
+  pixel stages) in one worker task;
+- when the batch alone cannot fill the pool (or the request forces
+  it), the scan is cut into at most one chunk per worker: at RSTn
+  markers (*known* boundaries) when the image carries restart markers,
+  at speculated byte offsets with a convergence window when it does
+  not.  The chunks decode in parallel and
+  :func:`~repro.jpeg.speculative.stitch_chunks` joins them; whenever a
+  chunk errors or the stitch cannot establish coverage, the image's
+  outcome is the sequential oracle decode — bit-identical pixels, or
+  the oracle's own error.
 
 Per image, requests choose the entropy engine (``fast``/``reference``),
 the decode mode (``reference`` = the real sequential pixel path, or any
 :class:`~repro.core.modes.DecodeMode` value to run a simulated
 heterogeneous executor), and the platform.  Failures are isolated: a
 corrupt JPEG fails its own :class:`ImageResult` and never the batch.
-
-:class:`DecodeService` is the pull-driven long-running shape
-(`repro serve-batch`): a bounded
-:class:`~repro.service.queue.SubmissionQueue` with backpressure and
-cumulative statistics, kept as a thin compatibility facade over the
-futures-based :class:`~repro.service.session.DecodeSession` (which adds
-per-request handles and a background batch-forming pump — prefer it in
-new code).
+The pull-driven and futures-based front ends live in
+:mod:`repro.service.session`.
 """
 
 from __future__ import annotations
@@ -44,35 +38,18 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from ..errors import EntropyError, ReproError, ServiceError
-from ..jpeg.decoder import (
-    DecodeOptions,
-    component_tables_from_info,
-    decode_jpeg,
-    pixels_from_coefficients,
-)
-from ..jpeg.blocks import ImageGeometry
-from ..jpeg.entropy import CoefficientBuffers, ComponentTables
-from ..jpeg.markers import JpegImageInfo, parse_jpeg
-from ..jpeg.fast_entropy import ScanPrescan, destuff_scan
-from ..jpeg.parallel_huffman import (
-    RestartSegment,
-    decode_segment_coefficients,
-    scatter_segment,
-    segment_plane_nbytes,
-    split_restart_segments,
-)
+from ..errors import ServiceError
+from ..jpeg.decoder import DecodeOptions, decode_jpeg, pixels_from_coefficients
+from ..jpeg.markers import parse_jpeg
 from ..jpeg.speculative import (
     DEFAULT_OVERLAP_BYTES,
+    WHOLE_IMAGE,
+    ChunkPlan,
     ChunkTrace,
-    SpeculativeChunk,
-    chunk_mcu_budget,
-    decode_speculative_chunk,
+    decode_chunk,
     make_repairer,
-    plan_chunks,
-    speculative_eligible,
+    plan_scan,
     stitch_chunks,
-    _sequential as _decode_sequential_prescanned,
 )
 from .faults import FaultDirective, FaultPlan, apply_dispatch_fault
 from .obs import (
@@ -83,7 +60,6 @@ from .obs import (
     make_span,
     record_worker_span,
 )
-from .queue import SubmissionQueue
 from .scheduler import BatchSchedule, ModelScheduler
 from .stats import BatchStats, WorkSpan
 from .transport import (
@@ -93,7 +69,6 @@ from .transport import (
     PlaneSlot,
     packed_nbytes,
     peek_dimensions,
-    publish_plane,
     publish_planes,
     resolve_transport,
 )
@@ -154,14 +129,15 @@ class ImageRequest:
     idct_method: str = "aan"
     #: Fancy (triangular) chroma upsampling for the reference path.
     fancy_upsampling: bool = True
-    #: Restart-segment fan-out: ``True`` forces it (where DRI permits),
-    #: ``False`` forbids it, ``None`` lets the batch decoder decide
-    #: (split only when the batch alone cannot fill the worker pool).
+    #: Fan-out at restart markers (known chunk boundaries): ``True``
+    #: forces it (where DRI permits), ``False`` forbids it, ``None``
+    #: lets the batch decoder decide (fan out only when the batch alone
+    #: cannot fill the worker pool).
     split_segments: bool | None = None
-    #: Speculative chunk fan-out for marker-free scans: ``True`` forces
-    #: it (where eligibility permits — DRI=0, fast engine, reference
-    #: mode), ``False`` forbids it, ``None`` defers to the batch
-    #: decoder's ``speculative`` policy knob.
+    #: Fan-out at speculated boundaries for marker-free scans: ``True``
+    #: forces it (where eligibility permits — DRI=0, fast engine,
+    #: reference mode), ``False`` forbids it, ``None`` defers to the
+    #: batch decoder's ``speculative`` policy knob.
     speculative: bool | None = None
     #: Relative deadline in milliseconds from submission; ``None``
     #: means no deadline.  A request whose deadline passes before its
@@ -172,8 +148,8 @@ class ImageRequest:
     #: Best-effort decode of hostile bytes: instead of ``ok=False`` on a
     #: corrupt scan, return the pixels decoded before the failure with
     #: :attr:`ImageResult.error_regions` marking the damage.  Salvage
-    #: requests decode whole-image on the reference path (no segment or
-    #: speculative fan-out — the error map needs one decoder's view).
+    #: requests decode whole-image on the reference path (no fan-out —
+    #: the error map needs one decoder's view).
     salvage: bool = False
     #: Load-shedding priority class: 0 = low, 1 = normal (default),
     #: 2 = high.  Under overload the session sheds low classes first
@@ -201,16 +177,16 @@ class ImageResult:
     error_type: str | None = None
     #: Human-readable failure message when ``ok`` is False.
     error: str | None = None
-    #: Number of independently decoded restart segments or speculative
-    #: chunks (1 = whole scan).
+    #: Number of independently decoded chunks (1 = whole scan).
     segments: int = 1
-    #: True when the image's coefficients came from the *stitched*
-    #: speculative chunk fan-out (False for the whole-scan fallback —
-    #: the result is bit-identical either way, this records which path
-    #: produced it).
+    #: True when the image's coefficients came from *stitched*
+    #: speculated chunks (False for known restart boundaries and for
+    #: the sequential fallback — the result is bit-identical either
+    #: way, this records which path produced it).
     speculative: bool = False
-    #: Speculative chunk boundaries that failed to converge and were
-    #: healed by sequential gap repair (0 on a clean stitch).
+    #: Chunk boundaries that failed to converge (or chunks lost) and
+    #: were healed by sequential gap repair or the fallback (0 on a
+    #: clean stitch).
     misspeculated: int = 0
     #: Simulated executor time in microseconds (executor modes only).
     simulated_us: float | None = None
@@ -222,6 +198,9 @@ class ImageResult:
     #: transit (worker → parent); the gather loop materializes
     #: :attr:`rgb` from it and clears it before the result escapes.
     plane: PlaneRef | None = None
+    #: In transit only, for one chunk of a fanned-out image: the chunk's
+    #: trace, its planes as arrays or shared-memory descriptors.
+    chunk: ChunkTrace | None = None
     #: Real worker busy time in microseconds (sum of spans) — the
     #: wall-clock observation lane-bound scheduling feeds back into the
     #: scheduler, as opposed to the model-world :attr:`simulated_us`.
@@ -295,8 +274,8 @@ class BatchResult:
 
 
 # ---------------------------------------------------------------------------
-# Worker-side task functions (module-level: the process backend pickles
-# them by reference).
+# The worker-side task function (module-level: the process backend
+# pickles it by reference).
 # ---------------------------------------------------------------------------
 
 #: Decoder stage name → Timeline glyph kind for worker stage spans.
@@ -317,24 +296,68 @@ def _stage_recorder(ctx: TraceContext, resource: str):
     return hook
 
 
+def _decode_whole(request: ImageRequest, result: ImageResult,
+                  ctx: TraceContext | None, resource: str) -> np.ndarray:
+    """Decode *request* whole on its pixel path; return the pixels and
+    fill the executor/salvage fields of *result*."""
+    if request.mode == "reference":
+        options = DecodeOptions(
+            idct_method=request.idct_method,
+            fancy_upsampling=request.fancy_upsampling,
+            entropy_engine=request.entropy_engine,
+            salvage=request.salvage,
+        )
+        if ctx is not None:
+            options.stage_hook = _stage_recorder(ctx, resource)
+        decoded = decode_jpeg(request.data, options)
+        if request.salvage:
+            result.salvaged = decoded.salvaged
+            result.error_regions = decoded.error_map
+            result.salvage_errors = list(decoded.errors)
+        return decoded.rgb
+    from ..core import HeterogeneousDecoder
+    from ..evaluation import platforms
+
+    plat = {p.name: p for p in platforms.ALL_PLATFORMS}.get(request.platform)
+    if plat is None:
+        raise ServiceError(f"unknown platform {request.platform!r}")
+    decoder = HeterogeneousDecoder.for_platform(
+        plat, entropy_engine=request.entropy_engine,
+        fancy_upsampling=request.fancy_upsampling)
+    t_dec = perf_counter()
+    decoded = decoder.decode(request.data, request.mode)
+    result.simulated_us = decoded.total_us
+    if ctx is not None:
+        # Simulated-executor decodes have no per-stage hooks; one span
+        # covers the whole decode, tagged with the lane's mode so the
+        # Gantt still names the work.
+        record_worker_span(child_span(
+            ctx, "decode", resource, "kernel", t_dec, perf_counter(),
+            mode=str(request.mode), platform=str(request.platform)))
+    return decoded.rgb
+
+
 def decode_image_task(request: ImageRequest,
                       slot: PlaneSlot | None = None,
-                      fault: FaultDirective | None = None) -> ImageResult:
-    """Decode one whole image inside a worker; never raises (except by
-    injected crash faults, which model a worker that never returns).
+                      fault: FaultDirective | None = None,
+                      chunk: tuple | None = None) -> ImageResult:
+    """Decode one unit of an image inside a worker — the whole image,
+    or with *chunk* (the :meth:`~repro.jpeg.speculative.ChunkPlan.task`
+    arguments) one chunk of its scan; never raises (except by injected
+    crash faults, which model a worker that never returns).
 
     *Any* failure — malformed bytes, truncated scan, unsupported
     feature, unknown mode, but also the unexpected (``MemoryError``,
     numpy shape errors) — is captured on the returned
     :class:`ImageResult` so one bad image cannot poison its batch.
-    Per-image isolation holds for arbitrary exceptions, not just the
-    library's own.
 
-    With a transport *slot*, the decoded pixels are written into the
-    leased shared-memory segment and the result carries only a
-    :class:`~repro.service.transport.PlaneRef` — nothing heavy rides
-    the pickle pipe.  If publishing fails for any reason the pixels
-    fall back to the pickle path rather than failing the decode.
+    A whole image comes back as ``rgb``; a chunk as a transit-only
+    :attr:`ImageResult.chunk` trace holding its coefficient planes.
+    With a transport *slot*, the planes are written into the leased
+    shared-memory segment and only
+    :class:`~repro.service.transport.PlaneRef` descriptors ride the
+    pickle pipe.  If publishing fails for any reason the planes fall
+    back to the pickle path rather than failing the decode.
 
     *fault* is an injected :class:`~repro.service.faults.FaultDirective`
     (chaos testing only): ``kill``/``delay`` apply at entry,
@@ -345,179 +368,41 @@ def decode_image_task(request: ImageRequest,
     t0 = perf_counter()
     ctx = request.trace
     resource = worker_name()
+    result = ImageResult(request_id=request.request_id, ok=True)
+    planes = None
     try:
         if fault is not None and fault.kind == "exception":
             raise RuntimeError(fault.message)
-        salvaged = False
-        error_regions = None
-        salvage_errors: list[str] = []
-        if request.mode == "reference":
-            options = DecodeOptions(
-                idct_method=request.idct_method,
-                fancy_upsampling=request.fancy_upsampling,
-                entropy_engine=request.entropy_engine,
-                salvage=request.salvage,
-            )
-            if ctx is not None:
-                options.stage_hook = _stage_recorder(ctx, resource)
-            decoded = decode_jpeg(request.data, options)
-            rgb, simulated_us = decoded.rgb, None
-            if request.salvage:
-                salvaged = decoded.salvaged
-                error_regions = decoded.error_map
-                salvage_errors = list(decoded.errors)
+        if chunk is not None:
+            result.chunk = decode_chunk(*chunk)
+            planes = result.chunk.planes
         else:
-            from ..core import HeterogeneousDecoder
-            from ..evaluation import platforms
-
-            plat = {p.name: p for p in platforms.ALL_PLATFORMS}[
-                request.platform]
-            decoder = HeterogeneousDecoder.for_platform(
-                plat, entropy_engine=request.entropy_engine,
-                fancy_upsampling=request.fancy_upsampling)
-            t_dec = perf_counter()
-            result = decoder.decode(request.data, request.mode)
-            rgb, simulated_us = result.rgb, result.total_us
-            if ctx is not None:
-                # Simulated-executor decodes have no per-stage hooks;
-                # one span covers the whole decode, tagged with the
-                # lane's mode so the Gantt still names the work.
-                record_worker_span(child_span(
-                    ctx, "decode", resource, "kernel",
-                    t_dec, perf_counter(), mode=str(request.mode),
-                    platform=str(request.platform)))
-    except KeyError:
-        return ImageResult(
-            request_id=request.request_id, ok=False,
-            error_type="KeyError",
-            error=f"unknown platform {request.platform!r}",
-            spans=[WorkSpan(worker_name(), t0, perf_counter())],
-            trace_spans=(drain_worker_spans(ctx.trace_id)
-                         if ctx is not None else []))
-    except Exception as exc:  # ANY failure stays on this image's result
-        return ImageResult(
-            request_id=request.request_id, ok=False,
-            error_type=type(exc).__name__, error=str(exc),
-            spans=[WorkSpan(worker_name(), t0, perf_counter())],
-            trace_spans=(drain_worker_spans(ctx.trace_id)
-                         if ctx is not None else []))
-    h, w = rgb.shape[:2]
-    plane = None
-    if slot is not None:
+            result.rgb = _decode_whole(request, result, ctx, resource)
+            result.height, result.width = result.rgb.shape[:2]
+            planes = [result.rgb]
+    except Exception as exc:  # ANY failure stays on this result
+        result.ok = False
+        result.error_type, result.error = type(exc).__name__, str(exc)
+    if planes is not None and slot is not None:
         try:
             if fault is not None and fault.kind == "shm_fail":
                 raise ServiceError(fault.message)
             t_pub = perf_counter()
-            plane = publish_plane(slot, rgb)
+            refs = publish_planes(slot, planes)
             if ctx is not None:
                 record_worker_span(child_span(
-                    ctx, "shm_publish", resource, "write",
-                    t_pub, perf_counter(), nbytes=plane.nbytes))
-            rgb = None
+                    ctx, "shm_publish", resource, "write", t_pub,
+                    perf_counter(), nbytes=sum(r.nbytes for r in refs)))
+            if result.chunk is not None:
+                result.chunk.planes = refs
+            else:
+                result.rgb, result.plane = None, refs[0]
         except Exception:
-            plane = None  # slot too small / segment gone: pickle instead
-    return ImageResult(
-        request_id=request.request_id, ok=True, rgb=rgb,
-        width=w, height=h, simulated_us=simulated_us, plane=plane,
-        salvaged=salvaged, error_regions=error_regions,
-        salvage_errors=salvage_errors,
-        spans=[WorkSpan(worker_name(), t0, perf_counter())],
-        trace_spans=(drain_worker_spans(ctx.trace_id)
-                     if ctx is not None else []))
-
-
-def decode_segment_task(
-    seg: RestartSegment,
-    segment_bytes: bytes,
-    geometry_args: tuple[int, int, str],
-    tables: list[ComponentTables],
-    entropy_engine: str,
-    slot: PlaneSlot | None = None,
-    fault: FaultDirective | None = None,
-) -> tuple[RestartSegment, "list | tuple | None", str | None, str | None,
-           WorkSpan]:
-    """Decode one restart segment inside a worker; never raises (except
-    by injected crash faults).
-
-    Returns ``(segment, payload, error_type, error, span)`` — *payload*
-    is None on failure, the list of coefficient planes on the pickle
-    path, or a tuple of :class:`~repro.service.transport.PlaneRef`
-    descriptors when a transport *slot* was leased (the planes are
-    packed into the shared segment instead of riding the result pipe).
-    *geometry_args* is the pickled-down ``(width, height, mode)`` of
-    the full image.  Any exception class is captured — per-segment
-    isolation mirrors :func:`decode_image_task`.  *fault* injects
-    chaos the same way as for whole-image tasks.
-    """
-    apply_dispatch_fault(fault)
-    t0 = perf_counter()
-    try:
-        if fault is not None and fault.kind == "exception":
-            raise RuntimeError(fault.message)
-        geometry = ImageGeometry(*geometry_args)
-        planes = decode_segment_coefficients(
-            seg, segment_bytes, geometry, tables, entropy_engine)
-    except Exception as exc:  # ANY failure stays on this segment
-        return (seg, None, type(exc).__name__, str(exc),
-                WorkSpan(worker_name(), t0, perf_counter()))
-    payload: "list | tuple" = planes
-    if slot is not None:
-        try:
-            if fault is not None and fault.kind == "shm_fail":
-                raise ServiceError(fault.message)
-            payload = publish_planes(slot, planes)
-        except Exception:
-            payload = planes  # fall back to pickling the planes
-    return seg, payload, None, None, WorkSpan(worker_name(), t0,
-                                              perf_counter())
-
-
-def decode_speculative_chunk_task(
-    chunk: SpeculativeChunk,
-    slice_bytes: bytes,
-    geometry_args: tuple[int, int, str],
-    tables: list[ComponentTables],
-    terminator: int | None,
-    slot: PlaneSlot | None = None,
-    fault: FaultDirective | None = None,
-) -> tuple[SpeculativeChunk, "ChunkTrace | None", "list | tuple | None",
-           str | None, str | None, WorkSpan]:
-    """Speculatively decode one chunk inside a worker; never raises
-    (except by injected crash faults).
-
-    Returns ``(chunk, trace, payload, error_type, error, span)``.
-    Decode errors inside the chunk are *not* task errors — the
-    optimistic decoder records them on the trace and the stitcher
-    decides whether they matter (misspeculation repairs sequentially,
-    a hostile stream falls back to the oracle).  *trace* is None only
-    when the task itself failed structurally (then ``error_type`` is
-    set).  *payload* carries the trace's coefficient planes: a list on
-    the pickle path or :class:`~repro.service.transport.PlaneRef`
-    descriptors when a transport *slot* was leased — the trace rides
-    the pickle pipe with ``planes`` stripped either way, and the
-    gather loop reattaches them.
-    """
-    apply_dispatch_fault(fault)
-    t0 = perf_counter()
-    try:
-        if fault is not None and fault.kind == "exception":
-            raise RuntimeError(fault.message)
-        trace = decode_speculative_chunk(
-            chunk, slice_bytes, geometry_args, tables, "fast", terminator)
-    except Exception as exc:  # ANY failure stays on this chunk
-        return (chunk, None, None, type(exc).__name__, str(exc),
-                WorkSpan(worker_name(), t0, perf_counter()))
-    payload: "list | tuple" = trace.planes
-    if slot is not None:
-        try:
-            if fault is not None and fault.kind == "shm_fail":
-                raise ServiceError(fault.message)
-            payload = publish_planes(slot, trace.planes)
-        except Exception:
-            payload = trace.planes  # fall back to pickling the planes
-    trace.planes = None
-    return (chunk, trace, payload, None, None,
-            WorkSpan(worker_name(), t0, perf_counter()))
+            pass  # slot too small / segment gone: pickle instead
+    result.spans = [WorkSpan(resource, t0, perf_counter())]
+    if ctx is not None:
+        result.trace_spans = drain_worker_spans(ctx.trace_id)
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -525,85 +410,48 @@ def decode_speculative_chunk_task(
 # ---------------------------------------------------------------------------
 
 @dataclass
-class _SplitJob:
-    """Book-keeping for one image being decoded segment-by-segment."""
+class _FanoutJob:
+    """Book-keeping for one image: its plan and what its units left."""
 
+    #: Batch index of the image.
     index: int
     request: ImageRequest
-    info: JpegImageInfo
+    plan: ChunkPlan
+    #: Per unit: the whole-image result, or a chunk's trace; None for a
+    #: unit that failed or died on infrastructure.
+    outputs: list
     pending: int
-    planes_by_seg: dict[int, tuple[RestartSegment, list[np.ndarray]]] = \
-        field(default_factory=dict)
     spans: list[WorkSpan] = field(default_factory=list)
-    error_type: str | None = None
-    error: str | None = None
-    #: Transport slots whose planes are still referenced (released only
-    #: after the merge copies them out).
-    slots: list[PlaneSlot] = field(default_factory=list)
-    #: True when a segment failed on infrastructure (worker crash past
-    #: the retry budget) rather than the scan bytes.
-    infra: bool = False
-    #: Max dispatch attempts any of this image's segments consumed.
-    attempts: int = 1
-
-
-@dataclass
-class _SpecJob:
-    """Book-keeping for one marker-free image decoded speculatively."""
-
-    index: int
-    request: ImageRequest
-    info: JpegImageInfo
-    #: The destuffed scan — sliced for the chunk tasks, and the substrate
-    #: the stitcher's gap repair (and the whole-scan fallback) decode.
-    prescan: ScanPrescan
-    chunks: list[SpeculativeChunk]
-    tables: list[ComponentTables]
-    pending: int
-    #: Traces by chunk index; None marks a chunk whose task failed or
-    #: whose worker crashed past the retry budget — the stitcher treats
-    #: both as misspeculation (repair or fall back), never as an image
-    #: error.
-    traces_by_chunk: dict[int, "ChunkTrace | None"] = \
-        field(default_factory=dict)
-    spans: list[WorkSpan] = field(default_factory=list)
+    trace_spans: list[SpanRecord] = field(default_factory=list)
     #: Transport slots whose planes are still referenced (released only
     #: after the stitch copies them out).
     slots: list[PlaneSlot] = field(default_factory=list)
-    #: True when any chunk died on infrastructure past the retry budget
-    #: (reported on the result only if the image ultimately fails).
-    infra: bool = False
-    #: Max dispatch attempts any of this image's chunks consumed.
+    #: Crash message when a unit died on infrastructure past the retry
+    #: budget (the image fails on it only if every unit died).
+    crash: str | None = None
+    #: Max dispatch attempts any of this image's units consumed.
     attempts: int = 1
+    failed_over: bool = False
 
 
 @dataclass
 class _InFlight:
-    """Book-keeping for one dispatched task: everything the gather loop
+    """Book-keeping for one dispatched unit: everything the gather loop
     needs to requeue it after its worker dies (a fresh slot is leased on
     redispatch — the old one is quarantined, the dead worker may still
     hold a view into it)."""
 
-    #: ``"whole"``, ``"segment"`` or ``"spec"``.
-    kind: str
-    #: Batch index of the image this task belongs to.
-    index: int
+    job: _FanoutJob
+    #: Unit (chunk) index inside the image's plan.
+    unit: int
     #: Pool the task ran on (redispatch targets the same, healed, pool).
     pool: WorkerPool
-    #: True when the task crossed a process boundary (pickle accounting).
-    piped: bool
     #: Dispatch attempts so far (1 = first try).
     attempts: int
     #: Shared-memory slot leased to this dispatch, if any.
     slot: PlaneSlot | None
     #: Scheduler lane the task was placed on (fault-plan targeting).
     lane: str | None
-    #: Segment redispatch arguments
-    #: ``(seg, seg_bytes, geo_args, tables, engine, nbytes)`` — or, for
-    #: speculative chunks, ``(chunk, chunk_bytes, geo_args, tables,
-    #: terminator, nbytes)``; empty for whole-image tasks (those
-    #: redispatch from ``requests[index]``).
-    args: tuple = ()
     #: True when this dispatch already runs on a failover pool instead
     #: of its scheduled lane's pool (propagated onto the result).
     failed_over: bool = False
@@ -667,16 +515,17 @@ class BatchDecoder:
         before each re-dispatch.  *faults* attaches a
         :class:`~repro.service.faults.FaultPlan` for chaos testing.
 
-        *speculative* governs the marker-free fan-out
-        (:mod:`repro.jpeg.speculative`): ``"auto"`` (default) splits a
-        DRI=0 scan into speculative chunks under the same
-        underfilled-pool condition as restart segments, ``"on"`` makes
-        every eligible image a candidate regardless of batch size, and
-        ``"off"`` disables the path (a per-request
+        *speculative* governs fan-out at speculated boundaries for
+        marker-free scans (:mod:`repro.jpeg.speculative`): ``"auto"``
+        (default) cuts a DRI=0 scan under the same underfilled-pool
+        condition as restart-marker fan-out, ``"on"`` makes every
+        eligible image a candidate regardless of batch size, and
+        ``"off"`` disables it (a per-request
         :attr:`ImageRequest.speculative` overrides the policy either
-        way).  *speculative_chunks* fixes the chunk count (default: the
-        dispatching pool's worker count); *speculative_overlap* is the
-        convergence-window size in payload bytes.
+        way).  *speculative_chunks* fixes the chunk count of every
+        fan-out plan (default: the dispatching pool's worker count);
+        *speculative_overlap* is the convergence-window size in payload
+        bytes.
         """
         from .executors import ExecutorRegistry
         from .transport import TRANSPORTS
@@ -743,7 +592,7 @@ class BatchDecoder:
         self.arena = PlaneArena() if self.transport == "shm" else None
         self.shm_min_bytes = shm_min_bytes
 
-    # -- request normalization -----------------------------------------
+    # -- request normalization and planning ----------------------------
 
     def _normalize(self, items: Sequence[bytes | ImageRequest]
                    ) -> list[ImageRequest]:
@@ -759,79 +608,52 @@ class BatchDecoder:
             requests.append(req)
         return requests
 
-    def _split_candidate(self, req: ImageRequest, n_requests: int) -> bool:
-        """Parse-free preconditions for restart-segment fan-out.
+    def _plan(self, req: ImageRequest, pool: WorkerPool,
+              n_requests: int) -> ChunkPlan:
+        """The image's chunk plan.
 
-        Checked *before* any header parse so that the common throughput
-        case (a batch large enough to fill the pool with whole-image
-        tasks) pays zero serialized parent-side work per image — the
-        worker owns the parse.  Executor modes never split (they consume
-        the scan in-order themselves).
+        Parse-free preconditions come first, so the common throughput
+        case (a batch large enough to fill the pool) pays zero
+        serialized parent-side work per image — the worker owns the
+        parse.  Only the reference pixel path fans out (executor modes
+        consume the scan in order, salvage needs one decoder's view),
+        never onto a remote lane (its host decides any fan-out), and
+        speculated boundaries need the fast engine's exact bit
+        positions.  The per-request knobs override; otherwise restart
+        markers are used, and speculation follows the ``speculative``
+        policy, only when whole-image tasks cannot fill the pool.
         """
-        if req.mode != "reference" or req.split_segments is False \
-                or req.salvage:
-            return False
-        if req.split_segments is True:
-            return True
-        # auto: split only when whole-image tasks cannot fill the pool.
-        return (self.pool.backend != "serial"
-                and n_requests < self.pool.workers)
-
-    def _speculative_candidate(self, req: ImageRequest,
-                               n_requests: int) -> bool:
-        """Parse-free preconditions for speculative chunk fan-out.
-
-        Mirrors :meth:`_split_candidate` for marker-free scans: only
-        the reference pixel path with the fast engine qualifies (the
-        speculative decoder needs exact bit positions), the per-request
-        knob overrides, and the decoder-level policy decides the rest —
-        ``"auto"`` fans out only when whole-image tasks cannot fill the
-        pool.  Actual eligibility (DRI=0, no stray RSTn) is checked
-        after the parse.
-        """
-        if req.mode != "reference" or req.entropy_engine != "fast" \
-                or req.salvage:
-            return False
-        if req.speculative is False:
-            return False
-        if req.speculative is True:
-            return True
-        if self.speculative == "off":
-            return False
-        if self.speculative == "on":
-            return self.pool.backend != "serial"
-        return (self.pool.backend != "serial"
-                and n_requests < self.pool.workers)
-
-    # -- the batch loop -------------------------------------------------
+        if req.mode != "reference" or req.salvage or pool.backend == "remote":
+            return WHOLE_IMAGE
+        underfilled = pool.backend != "serial" and n_requests < pool.workers
+        known = underfilled if req.split_segments is None \
+            else req.split_segments
+        if req.speculative is not None:
+            speculate = req.speculative
+        elif self.speculative == "on":
+            speculate = pool.backend != "serial"
+        else:
+            speculate = self.speculative == "auto" and underfilled
+        speculate = speculate and req.entropy_engine == "fast"
+        if not (known or speculate):
+            return WHOLE_IMAGE
+        try:
+            return plan_scan(parse_jpeg(req.data),
+                             self.speculative_chunks or pool.workers,
+                             self.speculative_overlap, known=known,
+                             speculate=speculate)
+        except Exception:
+            return WHOLE_IMAGE  # the worker reports the precise error
 
     # -- transport helpers ---------------------------------------------
 
-    def _lease_image_slot(self, req: ImageRequest,
-                          pool: WorkerPool) -> PlaneSlot | None:
-        """Lease a shm slot sized for *req*'s decoded pixels, if the
-        transport applies to *pool* (process backend + shm resolved).
-        A failed header peek skips the lease — the worker then reports
-        the precise decode error over the pickle path."""
-        if self.arena is None or pool.backend != "process":
-            return None
-        dims = peek_dimensions(req.data)
-        if dims is None:
-            return None
-        w, h = dims
-        if w * h * 3 < self.shm_min_bytes:
-            return None
-        try:
-            return self.arena.lease(w * h * 3)
-        except ServiceError:
-            return None
-
-    def _lease_segment_slot(self, nbytes: int,
-                            pool: WorkerPool) -> PlaneSlot | None:
-        """Lease a shm slot for one restart segment's packed planes."""
-        if self.arena is None or pool.backend != "process" or nbytes <= 0:
-            return None
-        if nbytes < self.shm_min_bytes:
+    def _lease_slot(self, nbytes: int,
+                    pool: WorkerPool) -> PlaneSlot | None:
+        """Lease a shm slot of *nbytes*, if the transport applies to
+        *pool* (process backend + shm resolved) and the payload clears
+        ``shm_min_bytes``."""
+        if self.arena is None or pool.backend != "process" \
+                or nbytes <= 0 or nbytes < self.shm_min_bytes:
             return None
         try:
             return self.arena.lease(nbytes)
@@ -872,23 +694,38 @@ class BatchDecoder:
             total += sum(p.rebuilds for p in self.registry.pools.values())
         return total
 
-    def _materialize(self, result: ImageResult,
-                     outstanding: dict[str, PlaneSlot]) -> int:
-        """Turn a transported :class:`PlaneRef` back into ``rgb``.
+    def _receive(self, result: ImageResult, task: _InFlight,
+                 outstanding: dict[str, PlaneSlot]) -> tuple[int, int]:
+        """Bring one unit's planes home; returns ``(shm, pickle)`` bytes.
 
-        Returns the bytes that crossed shared memory (0 on the pickle
-        path); always leaves the result descriptor-free so nothing
+        Whole-image pixels are copied out of shared memory and their
+        slot released at once.  A chunk's planes stay zero-copy views;
+        their slot is held on the job until the stitch scatters them.
+        Either way the result leaves here descriptor-free, so nothing
         downstream can observe a recycled segment.
         """
-        ref = result.plane
-        if ref is None:
-            return 0
-        result.rgb = self.arena.resolve(ref, copy=True)
-        result.plane = None
-        self._release_slot(outstanding.get(ref.segment), outstanding)
-        return ref.nbytes
+        if not result.ok:
+            return 0, 0
+        trace = result.chunk
+        refs = trace.planes if trace is not None else (result.plane,)
+        if not isinstance(refs, tuple) or refs[0] is None:
+            if task.pool.backend != "process":
+                return 0, 0  # nothing crossed a process boundary
+            arrays = refs if trace is not None else [result.rgb]
+            return 0, sum(a.nbytes for a in arrays)
+        if trace is None:
+            result.rgb = self.arena.resolve(refs[0], copy=True)
+            result.plane = None
+            self._release_slot(outstanding.get(refs[0].segment),
+                               outstanding)
+        else:
+            trace.planes = [self.arena.resolve(r, copy=False) for r in refs]
+            slot = outstanding.get(refs[0].segment)
+            if slot is not None:
+                task.job.slots.append(slot)
+        return sum(r.nbytes for r in refs), 0
 
-    # -- the batch loop (continued) ------------------------------------
+    # -- the batch loop -------------------------------------------------
 
     def decode_batch(self, items: Sequence[bytes | ImageRequest]
                      ) -> BatchResult:
@@ -910,12 +747,16 @@ class BatchDecoder:
         pixels are materialized here; every leased segment is released
         (or unlinked at :meth:`close`) even when a worker dies
         mid-batch.
+
+        Every image is one :class:`_FanoutJob` over its chunk plan, and
+        every unit — a whole image or one chunk — travels the same
+        dispatch, retry, heal, slot and span bookkeeping.
         """
         requests = self._normalize(items)
         schedule = None
         lane_by_index: dict[int, str] = {}
         #: Parent-side spans per batch index for traced requests
-        #: (schedule placement, dispatch attempts, breaker exclusions).
+        #: (schedule placement, breaker exclusions).
         trace_parent: dict[int, list[SpanRecord]] = {}
         traced = [i for i, r in enumerate(requests) if r.trace is not None]
         if self.scheduler is not None and requests:
@@ -946,8 +787,6 @@ class BatchDecoder:
         t0 = perf_counter()
         results: list[ImageResult | None] = [None] * len(requests)
         pending: dict[Any, _InFlight] = {}
-        split_jobs: dict[int, _SplitJob] = {}
-        spec_jobs: dict[int, _SpecJob] = {}
         #: Pools that actually received work this batch — the honest
         #: utilization denominator (with lane-bound pools the default
         #: pool often sits idle by construction).
@@ -960,66 +799,35 @@ class BatchDecoder:
         retries = 0
         lane_failures: dict[str, int] = {}
 
-        def submit_with_slot(pool, fn, *args, slot=None, fault=None):
-            """Submit, guaranteeing the slot is reclaimed on failure."""
+        def dispatch(job, k, pool, lane, attempts=1, failed_over=False):
+            """(Re)dispatch unit *k* of *job*; registers in-flight."""
+            req = job.request
+            ctx = req.trace.child() if req.trace is not None else None
+            t_disp = perf_counter()
+            if job.plan.chunks:
+                # The chunk carries its own slice of the scan.
+                unit = replace(req, data=b"", trace=ctx)
+                chunk = job.plan.task(k, req.entropy_engine)
+                slot = self._lease_slot(
+                    packed_nbytes(job.plan.plane_nbytes(k)), pool)
+                args = (unit, slot, self._next_fault(lane), chunk)
+            else:
+                unit = req if ctx is None else replace(req, trace=ctx)
+                dims = (peek_dimensions(req.data)
+                        if self.arena is not None else None)
+                slot = self._lease_slot(3 * dims[0] * dims[1] if dims
+                                        else 0, pool)
+                args = (unit, slot, self._next_fault(lane))
             if slot is not None:
                 outstanding[slot.name] = slot
             try:
-                fut = pool.submit(fn, *args, slot, fault)
+                fut = pool.submit(decode_image_task, *args)
             except BaseException:
                 self._release_slot(slot, outstanding)
                 raise
             pools_used.add(id(pool))
-            return fut
-
-        def dispatch_whole(i, pool, lane, attempts=1, failed_over=False):
-            """(Re)dispatch one whole-image task; registers in-flight."""
-            req = requests[i]
-            ctx = None
-            t_disp = perf_counter()
-            if req.trace is not None:
-                ctx = req.trace.child()
-                req = replace(req, trace=ctx)
-            slot = self._lease_image_slot(req, pool)
-            fut = submit_with_slot(pool, decode_image_task, req,
-                                   slot=slot, fault=self._next_fault(lane))
-            pending[fut] = _InFlight(
-                "whole", i, pool, pool.backend == "process",
-                attempts, slot, lane, failed_over=failed_over,
-                ctx=ctx, dispatched_at=t_disp)
-
-        def dispatch_segment(i, pool, lane, seg, seg_bytes, geo_args,
-                             tables, engine, nbytes, attempts=1):
-            """(Re)dispatch one restart-segment task."""
-            root = requests[i].trace
-            ctx = root.child() if root is not None else None
-            t_disp = perf_counter()
-            slot = self._lease_segment_slot(nbytes, pool)
-            fut = submit_with_slot(pool, decode_segment_task, seg,
-                                   seg_bytes, geo_args, tables, engine,
-                                   slot=slot, fault=self._next_fault(lane))
-            pending[fut] = _InFlight(
-                "segment", i, pool, pool.backend == "process",
-                attempts, slot, lane,
-                (seg, seg_bytes, geo_args, tables, engine, nbytes),
-                ctx=ctx, dispatched_at=t_disp)
-
-        def dispatch_spec(i, pool, lane, chunk, chunk_bytes, geo_args,
-                          tables, terminator, nbytes, attempts=1):
-            """(Re)dispatch one speculative-chunk task."""
-            root = requests[i].trace
-            ctx = root.child() if root is not None else None
-            t_disp = perf_counter()
-            slot = self._lease_segment_slot(nbytes, pool)
-            fut = submit_with_slot(pool, decode_speculative_chunk_task,
-                                   chunk, chunk_bytes, geo_args, tables,
-                                   terminator, slot=slot,
-                                   fault=self._next_fault(lane))
-            pending[fut] = _InFlight(
-                "spec", i, pool, pool.backend == "process",
-                attempts, slot, lane,
-                (chunk, chunk_bytes, geo_args, tables, terminator, nbytes),
-                ctx=ctx, dispatched_at=t_disp)
+            pending[fut] = _InFlight(job, k, pool, attempts, slot, lane,
+                                     failed_over, ctx, t_disp)
 
         gather_complete = False
         try:
@@ -1028,144 +836,42 @@ class BatchDecoder:
                 pool = self.pool
                 if lane is not None and self.registry is not None:
                     pool = self.registry.pool_for(lane) or self.pool
-                split = spec = False
-                scan = chunks = None
-                want_split = self._split_candidate(req, len(requests))
-                want_spec = self._speculative_candidate(req, len(requests))
-                if pool.backend == "remote":
-                    # Remote lanes ship whole images only: the host's
-                    # own session decides any segment/speculative
-                    # fan-out on its side of the wire.
-                    want_split = want_spec = False
-                if want_split or want_spec:
-                    try:
-                        info = parse_jpeg(req.data)
-                    except (ReproError, ValueError) as exc:
-                        results[i] = ImageResult(
-                            request_id=req.request_id, ok=False,
-                            error_type=type(exc).__name__, error=str(exc),
-                            latency_s=perf_counter() - t0)
-                        continue
-                    # Progressive streams decode whole-image: multi-scan
-                    # coefficient accumulation has no per-segment or
-                    # per-chunk decomposition.
-                    split = want_split and info.restart_interval > 0 \
-                        and not info.progressive
-                    spec = not split and want_spec \
-                        and info.restart_interval == 0 \
-                        and not info.progressive
-                if spec:
-                    try:
-                        scan = destuff_scan(info.entropy_data)
-                    except (ReproError, ValueError):
-                        # Malformed scan structure: the whole-image
-                        # worker reports the precise decode error.
-                        scan = None
-                    if scan is None or not speculative_eligible(
-                            info.restart_interval, scan):
-                        spec = False
-                    else:
-                        chunks = plan_chunks(
-                            len(scan.payload),
-                            self.speculative_chunks or pool.workers,
-                            self.speculative_overlap)
-                        # One chunk degenerates to the sequential decode
-                        # — a whole-image task without the stitch tax.
-                        spec = len(chunks) > 1
-                if not split and not spec:
-                    dispatch_whole(i, pool, lane)
-                    continue
-                geo = info.geometry
-                if spec:
-                    tables = component_tables_from_info(info)
-                    job = _SpecJob(index=i, request=req, info=info,
-                                   prescan=scan, chunks=chunks,
-                                   tables=tables, pending=len(chunks))
-                    spec_jobs[i] = job
-                    geo_args = (geo.width, geo.height, geo.mode,
-                            geo.ncomponents)
-                    payload = scan.payload
-                    bpms = [c.h_factor * c.v_factor
-                            for c in geo.components]
-                    for chunk in chunks:
-                        budget = chunk_mcu_budget(chunk, geo)
-                        # int16 coefficient blocks: 64 * 2 bytes each.
-                        nbytes = packed_nbytes(
-                            [budget * bpm * 128 for bpm in bpms])
-                        dispatch_spec(
-                            i, pool, lane, chunk,
-                            payload[chunk.start:chunk.slice_stop],
-                            geo_args, tables,
-                            (scan.terminator
-                             if chunk.slice_stop == len(payload) else None),
-                            nbytes)
-                    continue
-                # Validate the marker structure before fanning out: a
-                # truncated/corrupt scan has fewer RSTn boundaries than
-                # the DRI interval demands, and isolated segments would
-                # then zero-pad their way to silent garbage where the
-                # sequential decoder raises.
-                expected = -(-geo.total_mcus // info.restart_interval)
-                try:
-                    segments = split_restart_segments(
-                        info.entropy_data, geo.total_mcus,
-                        info.restart_interval)
-                    if len(segments) != expected:
-                        raise EntropyError(
-                            f"restart marker structure inconsistent: "
-                            f"expected {expected} segments, found "
-                            f"{len(segments)} (truncated or corrupt scan)")
-                except (ReproError, ValueError) as exc:
-                    results[i] = ImageResult(
-                        request_id=req.request_id, ok=False,
-                        error_type=type(exc).__name__, error=str(exc),
-                        latency_s=perf_counter() - t0)
-                    continue
-                job = _SplitJob(index=i, request=req, info=info,
-                                pending=len(segments))
-                split_jobs[i] = job
-                tables = component_tables_from_info(info)
-                geo_args = (geo.width, geo.height, geo.mode,
-                        geo.ncomponents)
-                plane_sizes: dict[int, int] = {}
-                for seg in segments:
-                    nbytes = plane_sizes.get(seg.mcu_count)
-                    if nbytes is None:
-                        nbytes = packed_nbytes(
-                            segment_plane_nbytes(seg, geo))
-                        plane_sizes[seg.mcu_count] = nbytes
-                    dispatch_segment(
-                        i, pool, lane, seg,
-                        info.entropy_data[seg.byte_start: seg.byte_stop],
-                        geo_args, tables, req.entropy_engine, nbytes)
+                plan = self._plan(req, pool, len(requests))
+                job = _FanoutJob(i, req, plan, [None] * plan.units,
+                                 plan.units)
+                for k in range(plan.units):
+                    dispatch(job, k, pool, lane)
 
             while pending:
                 done, _ = wait(list(pending), return_when=FIRST_COMPLETED)
                 for fut in done:
                     task = pending.pop(fut)
-                    i = task.index
+                    job = task.job
                     try:
-                        payload = fut.result()
+                        result = fut.result()
                         failure = None
                     except BaseException as exc:
                         # The task function catches everything, so a
                         # raising future means infrastructure died under
                         # it: BrokenProcessPool (worker SIGKILLed/OOMed)
                         # or an injected WorkerCrashError.
-                        payload, failure = None, exc
+                        result, failure = None, exc
                     if task.ctx is not None:
                         # The attempt span uses the child context's OWN
                         # identity so worker stage spans (parented on
                         # that same context) nest under it; retries of
                         # one request become sibling attempt spans under
                         # the shared request span.
-                        trace_parent.setdefault(i, []).append(make_span(
+                        job.trace_spans.append(make_span(
                             task.ctx, "attempt",
                             task.lane or task.pool.backend, "cpu-parallel",
                             task.dispatched_at, perf_counter(),
-                            attempt=task.attempts, task=task.kind,
+                            attempt=task.attempts,
+                            task="chunk" if job.plan.chunks else "whole",
                             outcome=("crashed" if failure is not None
                                      else "ok")))
+                    job.attempts = max(job.attempts, task.attempts)
+                    job.failed_over |= task.failed_over
                     if failure is not None:
                         # The dead worker may still hold a view into
                         # its slot — quarantine, never recycle.
@@ -1187,154 +893,40 @@ class BatchDecoder:
                             retries += 1
                             sleep(self.retry_backoff_s
                                   * (2 ** (task.attempts - 1)))
-                            if task.kind == "whole":
-                                pool = task.pool
-                                failed_over = task.failed_over
-                                if (pool.backend == "remote"
-                                        and self.registry is not None):
-                                    # Prefer a surviving sibling host
-                                    # over hammering the one that just
-                                    # failed.
-                                    alt = self.registry.failover_pool(
-                                        task.lane)
-                                    if alt is not None:
-                                        pool, failed_over = alt, True
-                                dispatch_whole(i, pool, task.lane,
-                                               attempts=task.attempts + 1,
-                                               failed_over=failed_over)
-                            elif task.kind == "spec":
-                                dispatch_spec(
-                                    i, task.pool, task.lane, *task.args,
-                                    attempts=task.attempts + 1)
-                            else:
-                                dispatch_segment(
-                                    i, task.pool, task.lane, *task.args,
-                                    attempts=task.attempts + 1)
+                            pool, failed_over = task.pool, task.failed_over
+                            if (pool.backend == "remote"
+                                    and self.registry is not None):
+                                # Prefer a surviving sibling host over
+                                # hammering the one that just failed.
+                                alt = self.registry.failover_pool(task.lane)
+                                if alt is not None:
+                                    pool, failed_over = alt, True
+                            dispatch(job, task.unit, pool, task.lane,
+                                     task.attempts + 1, failed_over)
                             continue
-                        exc_msg = (
+                        job.crash = (
                             f"worker crashed after {task.attempts} "
                             f"attempt(s): {type(failure).__name__}: "
                             f"{failure}")
-                        if task.kind == "whole":
-                            results[i] = ImageResult(
-                                request_id=requests[i].request_id,
-                                ok=False, error_type="WorkerCrashError",
-                                error=exc_msg, infra_failure=True,
-                                attempts=task.attempts,
-                                failed_over=task.failed_over,
-                                latency_s=perf_counter() - t0)
-                        elif task.kind == "spec":
-                            # A chunk lost to infrastructure is just a
-                            # misspeculated chunk: the stitcher repairs
-                            # the gap sequentially (or the whole scan
-                            # falls back) — the image still decodes.
-                            job = spec_jobs[i]
-                            job.infra = True
-                            job.attempts = max(job.attempts, task.attempts)
-                            job.traces_by_chunk[task.args[0].index] = None
-                            job.pending -= 1
-                            if job.pending == 0:
-                                results[i] = self._finish_speculative(job)
-                                for slot in job.slots:
-                                    self._release_slot(slot, outstanding)
-                                results[i].latency_s = perf_counter() - t0
-                        else:
-                            job = split_jobs[i]
-                            job.error_type = (job.error_type
-                                              or "WorkerCrashError")
-                            job.error = job.error or exc_msg
-                            job.infra = True
-                            job.attempts = max(job.attempts, task.attempts)
-                            job.pending -= 1
-                            if job.pending == 0:
-                                results[i] = self._finish_split(job)
-                                for slot in job.slots:
-                                    self._release_slot(slot, outstanding)
-                                results[i].latency_s = perf_counter() - t0
-                        continue
-                    if task.kind == "whole":
-                        results[i] = payload
-                        payload.attempts = task.attempts
-                        payload.failed_over = task.failed_over
-                        moved = self._materialize(payload, outstanding)
-                        bytes_shm += moved
-                        if (moved == 0 and payload.ok
-                                and payload.rgb is not None and task.piped):
-                            bytes_pickle += payload.rgb.nbytes
-                        res = results[i]
-                        res.wall_us = sum(
-                            s.duration_s for s in res.spans) * 1e6 or None
-                        res.latency_s = perf_counter() - t0
-                    elif task.kind == "spec":
-                        job = spec_jobs[i]
-                        job.attempts = max(job.attempts, task.attempts)
-                        chunk, trace, planes, err_type, err, span = payload
-                        job.spans.append(span)
-                        if trace is None:
-                            # Structural task failure — treated as one
-                            # more misspeculated chunk, never an image
-                            # error (the stitch repairs or falls back).
-                            job.traces_by_chunk[chunk.index] = None
-                        else:
-                            if isinstance(planes, tuple):
-                                # Shared-memory refs: zero-copy views;
-                                # the slot stays leased until the stitch
-                                # scatters them into the global grid.
-                                trace.planes = [
-                                    self.arena.resolve(r, copy=False)
-                                    for r in planes]
-                                bytes_shm += sum(r.nbytes for r in planes)
-                                slot = outstanding.get(planes[0].segment)
-                                if slot is not None:
-                                    job.slots.append(slot)
-                            else:
-                                if task.piped:
-                                    bytes_pickle += sum(
-                                        p.nbytes for p in planes)
-                                trace.planes = planes
-                            job.traces_by_chunk[chunk.index] = trace
-                        job.pending -= 1
-                        if job.pending == 0:
-                            results[i] = self._finish_speculative(job)
-                            for slot in job.slots:
-                                self._release_slot(slot, outstanding)
-                            results[i].wall_us = sum(
-                                s.duration_s
-                                for s in results[i].spans) * 1e6 or None
-                            results[i].latency_s = perf_counter() - t0
                     else:
-                        job = split_jobs[i]
-                        job.attempts = max(job.attempts, task.attempts)
-                        seg, planes, err_type, err, span = payload
-                        job.spans.append(span)
-                        if planes is None:
-                            job.error_type = job.error_type or err_type
-                            job.error = job.error or err
-                        elif isinstance(planes, tuple):
-                            # Shared-memory refs: zero-copy views; the
-                            # slot stays leased until the merge scatters
-                            # them into the whole-image grid.
-                            views = [self.arena.resolve(r, copy=False)
-                                     for r in planes]
-                            bytes_shm += sum(r.nbytes for r in planes)
-                            slot = outstanding.get(planes[0].segment)
-                            if slot is not None:
-                                job.slots.append(slot)
-                            job.planes_by_seg[seg.index] = (seg, views)
-                        else:
-                            if task.piped:
-                                bytes_pickle += sum(
-                                    p.nbytes for p in planes)
-                            job.planes_by_seg[seg.index] = (seg, planes)
-                        job.pending -= 1
-                        if job.pending == 0:
-                            results[i] = self._finish_split(job)
-                            for slot in job.slots:
-                                self._release_slot(slot, outstanding)
-                            results[i].wall_us = sum(
-                                s.duration_s
-                                for s in results[i].spans) * 1e6 or None
-                            results[i].latency_s = perf_counter() - t0
+                        moved_shm, moved_pickle = self._receive(
+                            result, task, outstanding)
+                        bytes_shm += moved_shm
+                        bytes_pickle += moved_pickle
+                        job.spans.extend(result.spans)
+                        job.trace_spans.extend(result.trace_spans)
+                        if not job.plan.chunks:
+                            job.outputs[task.unit] = result
+                        elif result.ok:
+                            # A failed chunk stays None: misspeculation
+                            # the stitch repairs, or the oracle decides.
+                            job.outputs[task.unit] = result.chunk
+                    job.pending -= 1
+                    if job.pending == 0:
+                        result = results[job.index] = self._finish(job)
+                        for slot in job.slots:
+                            self._release_slot(slot, outstanding)
+                        result.latency_s = perf_counter() - t0
             gather_complete = True
         finally:
             # Crash-safety for slots whose tasks never handed them
@@ -1348,133 +940,94 @@ class BatchDecoder:
             for slot in list(outstanding.values()):
                 if gather_complete:
                     self._release_slot(slot, outstanding)
-                elif self.arena is not None:
-                    outstanding.pop(slot.name, None)
-                    self.arena.discard(slot)
+                else:
+                    self._quarantine_slot(slot, outstanding)
 
         for i, extra in trace_parent.items():
-            # Parent-side spans (schedule, lane_excluded, attempts) ride
-            # in front of the worker-side spans already on the result.
-            if results[i] is not None:
-                results[i].trace_spans = extra + results[i].trace_spans
+            # Parent-side spans (schedule, lane_excluded) ride in front
+            # of the attempt and worker-side spans already on the result.
+            results[i].trace_spans = extra + results[i].trace_spans
 
         wall_s = perf_counter() - t0
-        done = [r for r in results if r is not None]
-        spans = [s for r in done for s in r.spans]
+        spans = [s for r in results for s in r.spans]
         all_pools = [self.pool]
         if self.registry is not None:
             all_pools.extend(self.registry.pools.values())
         workers = sum(p.workers for p in all_pools
                       if id(p) in pools_used) or self.pool.workers
         stats = BatchStats.from_spans(
-            batch_size=len(done),
-            ok=sum(r.ok for r in done),
-            failed=sum(not r.ok for r in done),
+            batch_size=len(results),
+            ok=sum(r.ok for r in results),
+            failed=sum(not r.ok for r in results),
             wall_s=wall_s, workers=workers,
-            latencies_s=[r.latency_s for r in done],
+            latencies_s=[r.latency_s for r in results],
             spans=spans, bytes_shm=bytes_shm, bytes_pickle=bytes_pickle)
         self.retries_total += retries
         return BatchResult(
-            results=done, stats=stats, schedule=schedule,
+            results=results, stats=stats, schedule=schedule,
             lane_pools=(self.registry.describe()
                         if self.registry is not None else None),
             transport=self.transport, retries=retries,
             lane_failures=lane_failures)
 
-    def _finish_split(self, job: _SplitJob) -> ImageResult:
-        """Merge a split image's segments and run the pixel stages."""
-        req, info = job.request, job.info
-        if job.error is not None or job.error_type is not None:
-            return ImageResult(
-                request_id=req.request_id, ok=False,
-                error_type=job.error_type, error=job.error,
-                segments=len(job.planes_by_seg) + 1, spans=job.spans,
-                infra_failure=job.infra, attempts=job.attempts)
-        t0 = perf_counter()
-        geo = info.geometry
-        merged = CoefficientBuffers.empty(geo)
-        for seg, planes in job.planes_by_seg.values():
-            scatter_segment(seg, planes, geo, merged)
-        rgb = pixels_from_coefficients(info, merged, DecodeOptions(
-            idct_method=req.idct_method,
-            fancy_upsampling=req.fancy_upsampling,
-            entropy_engine=req.entropy_engine))
-        t1 = perf_counter()
-        job.spans.append(WorkSpan(worker_name(), t0, t1))
-        trace_spans = []
-        if req.trace is not None:
-            trace_spans.append(child_span(
-                req.trace, "merge", worker_name(), "cpu-parallel",
-                t0, t1, segments=len(job.planes_by_seg)))
-        return ImageResult(
-            request_id=req.request_id, ok=True, rgb=rgb,
-            width=info.width, height=info.height,
-            segments=len(job.planes_by_seg), spans=job.spans,
-            attempts=job.attempts, trace_spans=trace_spans)
+    def _finish(self, job: _FanoutJob) -> ImageResult:
+        """Turn a job's unit outputs into the image's result.
 
-    def _finish_speculative(self, job: _SpecJob) -> ImageResult:
-        """Stitch a speculative image's chunk traces and run the pixel
-        stages.
-
-        Misspeculated boundaries (and chunks lost to crashed workers)
-        are healed by sequential gap repair inside the stitch; only
-        when coverage cannot be established at all does the whole scan
-        re-decode sequentially — which also reproduces the oracle's
-        exact error for hostile streams.  Either way the coefficients
-        are bit-identical to the sequential decode.
+        A whole image's result is its one unit's.  A multi-chunk plan is
+        joined by :func:`~repro.jpeg.speculative.stitch_chunks` and run
+        through the pixel stages; when a chunk errored or the stitch
+        cannot establish coverage, the sequential oracle decode (with
+        the request's own options) decides — its pixels or its exact
+        error.  Only when every unit died on infrastructure does the
+        image fail as ``WorkerCrashError``: the pool is gone, and
+        quietly decoding in the parent would mask it.
         """
-        req, info = job.request, job.info
-        geo = info.geometry
-        traces = [job.traces_by_chunk.get(k)
-                  for k in range(len(job.chunks))]
-        t0 = perf_counter()
-        if job.infra and not any(t is not None for t in traces):
-            # Every chunk died on infrastructure: the pool is gone, and
-            # quietly serializing the whole decode in the parent would
-            # mask it.  Partial loss heals below; total loss is terminal.
-            job.spans.append(WorkSpan(worker_name(), t0, perf_counter()))
-            return ImageResult(
+        req, plan = job.request, job.plan
+        if job.crash is not None and all(o is None for o in job.outputs):
+            result = ImageResult(
                 request_id=req.request_id, ok=False,
-                error_type="WorkerCrashError",
-                error="all speculative chunks lost to worker crashes",
-                segments=len(job.chunks), spans=job.spans,
-                misspeculated=len(job.chunks),
-                infra_failure=True, attempts=job.attempts)
-        coeffs, report = stitch_chunks(
-            traces, job.chunks, geo,
-            repair=make_repairer(job.prescan, geo, job.tables))
-        if coeffs is None:
+                error_type="WorkerCrashError", error=job.crash,
+                segments=plan.units, misspeculated=len(plan.chunks),
+                infra_failure=True)
+        elif not plan.chunks:
+            result = job.outputs[0]
+        else:
+            t0 = perf_counter()
+            info, geo = plan.info, plan.info.geometry
+            coeffs, report = stitch_chunks(
+                job.outputs, plan.chunks, geo,
+                repair=None if plan.known else make_repairer(
+                    plan.prescan, geo, plan.tables))
+            result = ImageResult(
+                request_id=req.request_id, ok=True, width=info.width,
+                height=info.height, segments=plan.units,
+                speculative=report.ok and not plan.known,
+                misspeculated=len(report.misspeculated))
+            options = DecodeOptions(
+                idct_method=req.idct_method,
+                fancy_upsampling=req.fancy_upsampling,
+                entropy_engine=req.entropy_engine)
             try:
-                coeffs = _decode_sequential_prescanned(
-                    job.prescan, geo, job.tables, info.restart_interval)
+                result.rgb = (
+                    pixels_from_coefficients(info, coeffs, options)
+                    if coeffs is not None
+                    else decode_jpeg(req.data, options).rgb)
             except Exception as exc:
-                job.spans.append(
-                    WorkSpan(worker_name(), t0, perf_counter()))
-                return ImageResult(
-                    request_id=req.request_id, ok=False,
-                    error_type=type(exc).__name__, error=str(exc),
-                    segments=len(job.chunks), spans=job.spans,
-                    misspeculated=len(report.misspeculated),
-                    infra_failure=job.infra, attempts=job.attempts)
-        rgb = pixels_from_coefficients(info, coeffs, DecodeOptions(
-            idct_method=req.idct_method,
-            fancy_upsampling=req.fancy_upsampling,
-            entropy_engine=req.entropy_engine))
-        t1 = perf_counter()
-        job.spans.append(WorkSpan(worker_name(), t0, t1))
-        trace_spans = []
-        if req.trace is not None:
-            trace_spans.append(child_span(
-                req.trace, "stitch", worker_name(), "cpu-parallel",
-                t0, t1, chunks=len(job.chunks),
-                misspeculated=len(report.misspeculated)))
-        return ImageResult(
-            request_id=req.request_id, ok=True, rgb=rgb,
-            width=info.width, height=info.height,
-            segments=len(job.chunks), spans=job.spans,
-            speculative=report.ok,
-            misspeculated=len(report.misspeculated),
-            attempts=job.attempts, trace_spans=trace_spans)
+                result.ok = False
+                result.error_type, result.error = type(exc).__name__, str(exc)
+            t1 = perf_counter()
+            job.spans.append(WorkSpan(worker_name(), t0, t1))
+            if req.trace is not None:
+                job.trace_spans.append(child_span(
+                    req.trace, "stitch", worker_name(), "cpu-parallel",
+                    t0, t1, chunks=plan.units,
+                    misspeculated=result.misspeculated))
+        result.spans = job.spans
+        result.trace_spans = job.trace_spans
+        result.attempts = job.attempts
+        result.failed_over = job.failed_over
+        result.wall_us = sum(s.duration_s for s in job.spans) * 1e6 or None
+        return result
 
     # -- lifecycle ------------------------------------------------------
 
@@ -1496,149 +1049,4 @@ class BatchDecoder:
 
     def __exit__(self, *exc_info: Any) -> None:
         """Context-manager exit: close the pool."""
-        self.close()
-
-
-class DecodeService:
-    """Pull-driven compatibility facade over
-    :class:`~repro.service.session.DecodeSession`.
-
-    Producers :meth:`submit` images (raw bytes or fully-specified
-    :class:`ImageRequest`\\ s); the owner drives :meth:`run_once` /
-    :meth:`drain` to decode queued work in batches.  Submission is
-    non-blocking by default, so a full queue surfaces immediately as
-    :class:`~repro.errors.QueueFullError` — the backpressure contract.
-
-    .. deprecated:: PR 4
-        New code should use
-        :class:`~repro.service.session.DecodeSession` directly: its
-        ``submit`` returns a per-request future-like
-        :class:`~repro.service.session.DecodeHandle` and its background
-        pump overlaps submission with completion — this class survives
-        for the pull-driven call sites, running the session pump-less
-        so the ``submit``/``run_once``/``drain`` call surface and
-        batching behave as before.  One deliberate reporting change:
-        ``ImageResult.latency_s`` (and the latency percentiles built
-        from it) now measures *submit*-to-completion, so time spent
-        queued between ``run_once`` calls counts — the honest number
-        for a service, where the old dispatch-to-completion figure
-        hid queueing delay.
-    """
-
-    def __init__(self, batch_size: int = 8, queue_capacity: int = 32,
-                 workers: int | None = None, backend: str | None = None,
-                 defaults: ImageRequest | None = None,
-                 scheduler: ModelScheduler | str | None = None,
-                 transport: str = "auto",
-                 lane_pools: "object | str | bool | None" = None,
-                 retry_budget: int | None = None,
-                 faults: FaultPlan | None = None,
-                 default_deadline_ms: float | None = None,
-                 speculative: str | None = None,
-                 tracing: str = "off", trace_sample: float = 0.1,
-                 trace_log: "str | None" = None) -> None:
-        """Build the underlying pump-less session; *batch_size* caps one
-        drain step.
-
-        *scheduler* (policy name or
-        :class:`~repro.service.scheduler.ModelScheduler`) turns on
-        model-guided cross-image scheduling; the service then feeds each
-        batch's observed per-image times back into the scheduler's
-        per-lane throughput estimates after every :meth:`run_once`.
-        *transport*/*lane_pools* are forwarded to
-        :class:`BatchDecoder` (shared-memory plane transport and
-        lane-bound executor pools), as are the fault-tolerance knobs
-        *retry_budget*/*faults*; *default_deadline_ms* applies a
-        deadline to every request that carries none (expired requests
-        are shed at :meth:`run_once` batch forming, their handles
-        failing with :class:`~repro.errors.DeadlineExceededError`).
-        """
-        from .session import DecodeSession
-
-        if batch_size <= 0:
-            raise ValueError(f"batch_size must be positive, got {batch_size}")
-        self.session = DecodeSession(
-            max_batch=batch_size, queue_capacity=queue_capacity,
-            workers=workers, backend=backend, defaults=defaults,
-            scheduler=scheduler, transport=transport,
-            lane_pools=lane_pools, retry_budget=retry_budget,
-            faults=faults, default_deadline_ms=default_deadline_ms,
-            speculative=speculative, tracing=tracing,
-            trace_sample=trace_sample, trace_log=trace_log, pump=False)
-
-    @property
-    def batch_size(self) -> int:
-        """Maximum images decoded by one :meth:`run_once` step."""
-        return self.session.max_batch
-
-    @property
-    def queue(self) -> SubmissionQueue:
-        """The session's bounded submission queue."""
-        return self.session.queue
-
-    @property
-    def decoder(self) -> BatchDecoder:
-        """The session's batch decoder (pool + optional scheduler)."""
-        return self.session.decoder
-
-    @property
-    def stats(self):
-        """Running totals across every processed batch."""
-        return self.session.stats
-
-    def submit(self, item: bytes | ImageRequest,
-               timeout: float | None = 0) -> Any:
-        """Enqueue one image; returns its request id.
-
-        ``timeout=0`` (default) fails fast with
-        :class:`~repro.errors.QueueFullError` when the queue is at
-        capacity; ``timeout=None`` blocks until space frees up.
-
-        Auto-assigned ids are unique and monotonically increasing even
-        under concurrent producers; an id is skipped (never reissued)
-        when the queue rejects its submission.  (The session's
-        :class:`~repro.service.session.DecodeHandle` is dropped here —
-        this API predates per-request handles; results come back from
-        :meth:`run_once`.)
-        """
-        return self.session.submit(item, timeout=timeout).request_id
-
-    def run_once(self) -> BatchResult | None:
-        """Decode one batch of queued requests (None when queue empty).
-
-        Scheduled batches additionally (a) fold observed per-image times
-        into the scheduler's per-lane feedback (the cross-batch
-        adaptation loop) and (b) accumulate per-lane placement counts on
-        :attr:`stats`.
-        """
-        return self.session.run_once()
-
-    def drain(self) -> list[BatchResult]:
-        """Decode batches until the queue is empty; return all results."""
-        out = []
-        while True:
-            result = self.run_once()
-            if result is None:
-                return out
-            out.append(result)
-
-    @property
-    def pending(self) -> int:
-        """Requests waiting in the submission queue."""
-        return self.session.pending
-
-    def close(self) -> None:
-        """Close the session (refusing new submissions) and the pool.
-
-        Matches the historical contract: queued-but-undrained requests
-        are not decoded on close (their handles are cancelled).
-        """
-        self.session.close(drain=False)
-
-    def __enter__(self) -> "DecodeService":
-        """Context-manager entry: the service itself."""
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        """Context-manager exit: close queue and pool."""
         self.close()

@@ -231,13 +231,8 @@ class SpanRing:
 
 
 #: Per-process worker ring.  Module-level so picklable task functions
-#: (``decode_image_task`` and friends) reach it without carrying state.
+#: (``decode_image_task``) reach it without carrying state.
 _WORKER_RING = SpanRing()
-
-
-def worker_ring() -> SpanRing:
-    """This process's span ring (one per pool worker after fork)."""
-    return _WORKER_RING
 
 
 def record_worker_span(span: SpanRecord) -> None:

@@ -1,10 +1,9 @@
 """Futures-based decode sessions: per-request handles over a pumped
 batch loop.
 
-:class:`~repro.service.batch.DecodeService` is pull-driven — producers
-``submit`` and the owner must interleave ``run_once``/``drain`` calls to
-make progress, so submission can never overlap completion.
-:class:`DecodeSession` inverts that: ``submit`` returns a
+A pull-driven batch loop makes producers ``submit`` and the owner
+interleave ``run_once`` calls to make progress, so submission can never
+overlap completion.  :class:`DecodeSession` inverts that: ``submit`` returns a
 :class:`DecodeHandle` (future-like — ``done()``, ``result(timeout)``,
 ``add_done_callback()``) and a background **pump thread** forms batches
 on its own, by size or age:
@@ -19,7 +18,7 @@ Formed batches run through the ordinary
 model-guided :class:`~repro.service.scheduler.ModelScheduler` when one
 is attached), so everything the batch layer guarantees — bit-identity
 with :func:`repro.jpeg.decoder.decode_jpeg`, per-image error isolation,
-restart-segment fan-out — holds unchanged; a failed decode *resolves*
+chunk fan-out — holds unchanged; a failed decode *resolves*
 its handle with an ``ok=False`` :class:`~repro.service.batch.ImageResult`
 rather than raising, exactly like the batch API.  Scheduler feedback
 (:meth:`~repro.service.scheduler.ModelScheduler.observe`) and
@@ -36,9 +35,9 @@ default) decodes everything already accepted, then shuts the pool down;
 :class:`~repro.errors.ServiceClosedError`.  Close is idempotent.
 
 The async front end (:mod:`repro.service.aio`) and the HTTP shim
-(:mod:`repro.service.http`) both layer on this class; the legacy
-pull-driven :class:`~repro.service.batch.DecodeService` survives as a
-thin facade over a pump-less session (``pump=False``).
+(:mod:`repro.service.http`) both layer on this class; a pump-less
+session (``pump=False``) is the pull-driven batch loop
+(``repro serve-batch``).
 """
 
 from __future__ import annotations
@@ -173,8 +172,8 @@ class DecodeSession:
     size (``max_batch``) or age (``max_delay_ms``) and resolves handles
     as results complete.  Construct with ``pump=False`` for the
     pull-driven mode (no thread; the caller drives :meth:`run_once`) —
-    that is how the legacy :class:`~repro.service.batch.DecodeService`
-    facade runs, and the deterministic choice for lifecycle tests.
+    that is how ``repro serve-batch`` runs, and the deterministic
+    choice for lifecycle tests.
     """
 
     def __init__(self, max_batch: int = 8, max_delay_ms: float = 2.0,
@@ -491,8 +490,7 @@ class DecodeSession:
         # so a completion observer (done callback, HTTP /stats poll
         # right after a response) always sees its own batch counted.
         with self._stats_lock:
-            self.stats.record(batch.stats,
-                              [r.latency_s for r in batch.results])
+            self.stats.record(batch.stats, batch.results)
             self.stats.record_faults(
                 retries=batch.retries,
                 infra_failures=sum(1 for r in batch.results
@@ -513,9 +511,8 @@ class DecodeSession:
     def run_once(self) -> BatchResult | None:
         """Pull-mode step: decode one batch of queued requests (None
         when nothing is pending, or when every pending request had
-        already expired and was shed).  This is what the
-        :class:`~repro.service.batch.DecodeService` facade drives; with
-        the pump running it is also safe (the queue hands each entry to
+        already expired and was shed).  This is what a pump-less
+        session's owner drives; with the pump running it is also safe (the queue hands each entry to
         exactly one consumer) but normally unnecessary."""
         entries = self.queue.get_batch(self.max_batch, timeout=0)
         with self._backlog_lock:

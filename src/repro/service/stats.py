@@ -8,7 +8,7 @@ comparable to the parent's wall-clock window).  :class:`BatchStats`
 reduces one batch's spans into the numbers an operator watches —
 images/sec, p50/p90/p99 latency, and busy-time utilization per worker —
 and :class:`ServiceStats` accumulates those across the batches a
-long-running :class:`~repro.service.batch.DecodeService` processes.
+long-running :class:`~repro.service.session.DecodeSession` processes.
 """
 
 from __future__ import annotations
@@ -165,8 +165,8 @@ class ServiceStats:
     images_ok: int = 0
     images_failed: int = 0
     total_wall_s: float = 0.0
-    #: Scheduled batches only: images that ran via restart-segment
-    #: fan-out because they dominated their batch.
+    #: Images that decoded as more than one chunk (fan-out at restart
+    #: markers or speculated boundaries), scheduled or not.
     images_split: int = 0
     #: Scheduled batches only: per-lane placement and prediction totals.
     per_executor: dict[str, ExecutorUsage] = field(default_factory=dict)
@@ -191,15 +191,18 @@ class ServiceStats:
     _latencies_s: deque = field(
         default_factory=lambda: deque(maxlen=LATENCY_WINDOW))
 
-    def record(self, stats: BatchStats, latencies_s: list[float]) -> None:
-        """Fold one batch's reduced stats into the running totals."""
+    def record(self, stats: BatchStats, results) -> None:
+        """Fold one batch's reduced stats and its
+        :class:`~repro.service.batch.ImageResult` list into the running
+        totals."""
         self.batches += 1
+        self.images_split += sum(r.segments > 1 for r in results)
         self.images_ok += stats.ok
         self.images_failed += stats.failed
         self.total_wall_s += stats.wall_s
         self.bytes_shm += stats.bytes_shm
         self.bytes_pickle += stats.bytes_pickle
-        self._latencies_s.extend(latencies_s)
+        self._latencies_s.extend(r.latency_s for r in results)
 
     def record_faults(self, *, retries: int = 0, infra_failures: int = 0,
                       deadline_expired: int = 0,
@@ -244,7 +247,6 @@ class ServiceStats:
         """
         from .scheduler import lane_outcomes
 
-        self.images_split += sum(a.split for a in schedule.assignments)
         by_index = {a.index: a for a in schedule.assignments}
         for a, observed in lane_outcomes(schedule, results):
             usage = self.per_executor.setdefault(

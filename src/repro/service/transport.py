@@ -218,19 +218,6 @@ def _attach(name: str):
         return shm
 
 
-#: Per-process shared-memory publish tallies (worker side): count of
-#: :func:`publish_plane` calls and total bytes copied.  Plain ints
-#: bumped under the GIL — cheap enough to stay on in every mode; the
-#: parent's /metrics scrapes its own process, workers expose theirs
-#: through trace spans (``shm_publish``).
-PUBLISH_COUNTERS = {"planes": 0, "bytes": 0}
-
-
-def publish_counters_snapshot() -> dict:
-    """Copy of this process's :data:`PUBLISH_COUNTERS`."""
-    return dict(PUBLISH_COUNTERS)
-
-
 def publish_plane(slot: PlaneSlot, array: np.ndarray,
                   offset: int = 0) -> PlaneRef:
     """Write *array* into *slot* at *offset*; return its descriptor.
@@ -249,8 +236,6 @@ def publish_plane(slot: PlaneSlot, array: np.ndarray,
     dst = np.ndarray(array.shape, dtype=array.dtype, buffer=shm.buf,
                      offset=offset)
     np.copyto(dst, array)
-    PUBLISH_COUNTERS["planes"] += 1
-    PUBLISH_COUNTERS["bytes"] += array.nbytes
     return PlaneRef(segment=slot.name, offset=offset,
                     shape=tuple(array.shape), dtype=array.dtype.str)
 

@@ -453,3 +453,127 @@ class TestSalvageUnderChaos:
         assert board.trips() == 0
         assert all(b["state"] == "closed"
                    for b in board.snapshot().values())
+
+
+# ---------------------------------------------------------------------------
+# Hostile fan-out: chunked decodes must reproduce the oracle exactly.
+# ---------------------------------------------------------------------------
+
+def _photo(width: int, height: int, sub: str, restarts: bool) -> bytes:
+    """A q80 synthetic photo, restarting once per MCU row or never."""
+    from repro.data import synthetic_photo
+    from repro.jpeg.sampling import sampling_factors
+
+    mcu_w = 8 * sampling_factors(sub)[0]
+    return encode_jpeg(synthetic_photo(height, width, seed=1, detail=0.6),
+                       EncoderSettings(quality=80, subsampling=sub,
+                                       restart_interval=(-(-width // mcu_w)
+                                                         if restarts else 0)))
+
+
+def _scan_cut(blob: bytes, keep: int) -> bytes:
+    """Keep *keep* bytes of the scan, then end the file with EOI."""
+    start = _entropy_start(blob)
+    return blob[:start + keep] + b"\xff\xd9"
+
+
+def _bit_flip(blob: bytes, offset: int, bit: int) -> bytes:
+    """Flip one bit of the scan at entropy-data *offset*."""
+    mutated = bytearray(blob)
+    mutated[_entropy_start(blob) + offset] ^= 1 << bit
+    return bytes(mutated)
+
+
+def _oracle(blob: bytes, engine: str):
+    """Sequential decode outcome: pixels, or (error type, message)."""
+    try:
+        return decode_jpeg(blob, DecodeOptions(entropy_engine=engine)).rgb
+    except Exception as exc:
+        return (type(exc).__name__, str(exc))
+
+
+#: Disagreements with the oracle that fan-out once produced, pinned:
+#: (name, (width, height, subsampling, restarts), mutation).
+PINNED_HOSTILE = [
+    # Truncated DRI scan: failed with EntropyError, oracle BitstreamError.
+    ("dri-truncated", (240, 180, "4:2:0", True), ("cut", 0.5)),
+    # Bit-flipped DRI scan: EntropyError with another message.
+    ("dri-flip-message", (240, 180, "4:2:2", True), ("flip", 6550, 7)),
+    # Bit-flipped DRI scan the oracle decodes: failed with BitstreamError.
+    ("dri-flip-decodes", (480, 320, "4:4:4", True), ("flip", 42216, 1)),
+    # Bit-flipped marker-free scan the oracle rejects (AC overrun):
+    # came back ok with wrong pixels.
+    ("free-flip-overrun", (240, 180, "4:4:4", False), ("flip", 10398, 1)),
+    # Truncated marker-free scan: decoded to different pixels.
+    ("free-truncated", (240, 180, "4:2:0", False), ("keep", 402)),
+]
+
+
+def _mutate(blob: bytes, mutation: tuple) -> bytes:
+    """Apply one ``("cut", fraction)`` / ``("keep", n)`` /
+    ``("flip", offset, bit)`` mutation to *blob*'s scan."""
+    n = len(parse_jpeg(blob).entropy_data)
+    if mutation[0] == "cut":
+        return _scan_cut(blob, int(n * mutation[1]))
+    if mutation[0] == "keep":
+        return _scan_cut(blob, mutation[1])
+    return _bit_flip(blob, mutation[1] % n, mutation[2])
+
+
+class TestHostileFanout:
+    """Truncated and bit-flipped DRI and marker-free scans with fan-out
+    forced on: every result equals the sequential oracle's — the same
+    pixel bytes, or the same error — on every backend, and every
+    shared-memory slot comes home."""
+
+    @pytest.fixture(scope="class")
+    def cases(self):
+        """(name, bytes, engine) for the hostile sweep plus the pins."""
+        out = []
+        mutations = [("cut", 0.25), ("cut", 0.6), ("flip", 1000, 6),
+                     ("flip", 3001, 2)]
+        for sub in ("4:2:0", "4:2:2", "4:4:4"):
+            for restarts in (True, False):
+                blob = _photo(240, 180, sub, restarts)
+                for mutation in mutations:
+                    for engine in (ENGINES if restarts else ("fast",)):
+                        out.append((f"{sub}-{'dri' if restarts else 'free'}"
+                                    f"-{mutation}-{engine}",
+                                    _mutate(blob, mutation), engine))
+        for name, (w, h, sub, restarts), mutation in PINNED_HOSTILE:
+            bad = _mutate(_photo(w, h, sub, restarts), mutation)
+            for engine in (ENGINES if restarts else ("fast",)):
+                out.append((f"{name}-{engine}", bad, engine))
+        return out
+
+    @pytest.fixture(scope="class")
+    def expected(self, cases):
+        return [_oracle(blob, engine) for _, blob, engine in cases]
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_forced_fanout_matches_oracle(self, cases, expected, backend):
+        from repro.service import shm_available
+
+        options = {}
+        if backend == "process":
+            if not shm_available():
+                pytest.skip("POSIX shared memory unavailable")
+            options = {"transport": "shm", "shm_min_bytes": 0}
+        requests = [ImageRequest(data=blob, entropy_engine=engine,
+                                 split_segments=True, speculative=True)
+                    for _, blob, engine in cases]
+        with BatchDecoder(workers=2, backend=backend, **options) as dec:
+            batch = dec.decode_batch(requests)
+            leaked = dec.arena.leaked() if dec.arena is not None else []
+        assert leaked == []
+        for (name, _, _), want, res in zip(cases, expected, batch):
+            got = res.rgb if res.ok else (res.error_type, res.error)
+            assert_same_outcome(got, want, f"{name} [{backend}]")
+            assert not res.infra_failure, name
+        fanned = {name for (name, _, _), res in zip(cases, batch)
+                  if res.segments > 1}
+        # Hostile bytes still fan out wherever the marker structure
+        # allows; the pins that once diverged all took the chunked path.
+        for pinned in ("dri-flip-decodes", "free-flip-overrun",
+                       "free-truncated"):
+            assert f"{pinned}-fast" in fanned, pinned

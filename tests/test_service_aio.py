@@ -47,7 +47,7 @@ def test_async_submit_resolves_bit_identical(corpus, sequential_rgbs):
 
 def test_completion_stream_overlaps_producer(corpus, sequential_rgbs):
     """An asyncio producer submits while the consumer iterates the
-    completion stream — the overlap DecodeService could never offer."""
+    completion stream — the overlap a pull-driven loop could never offer."""
     total = 2 * len(corpus)
 
     async def main():

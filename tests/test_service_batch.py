@@ -14,7 +14,7 @@ from repro.errors import (
 from repro.jpeg import DecodeOptions, EncoderSettings, decode_jpeg, encode_jpeg
 from repro.service import (
     BatchDecoder,
-    DecodeService,
+    DecodeSession,
     ImageRequest,
     SubmissionQueue,
     WorkerPool,
@@ -126,9 +126,9 @@ class TestErrorIsolation:
 
     def test_corrupt_segment_fails_only_its_image(self, corpus,
                                                   sequential_rgbs):
-        """A truncated DRI image under forced splitting fails in
-        isolation — the marker-structure validation refuses to fan out
-        a scan whose RSTn count no longer matches the DRI interval."""
+        """A truncated DRI image under forced fan-out fails in isolation
+        with the sequential oracle's own error: a scan whose RSTn count
+        no longer matches the DRI interval decodes as one chunk."""
         dri = corpus[1]
         # Truncate the scan but keep the EOI so headers still parse.
         bad = dri[: len(dri) // 2] + dri[-2:]
@@ -138,31 +138,32 @@ class TestErrorIsolation:
         with BatchDecoder(workers=2, backend="thread") as dec:
             batch = dec.decode_batch(reqs)
         assert [r.ok for r in batch] == [True, False, True]
-        assert batch.results[1].error_type == "EntropyError"
-        assert "segments" in batch.results[1].error
+        with pytest.raises(Exception) as oracle:
+            decode_jpeg(bad)
+        assert oracle.type.__name__ == "BitstreamError"
+        assert batch.results[1].error_type == "BitstreamError"
+        assert batch.results[1].error == str(oracle.value)
         assert np.array_equal(batch.results[0].rgb, sequential_rgbs[1])
 
     def test_segment_worker_failure_is_captured(self, corpus):
-        """decode_segment_task reports failures on its return tuple
+        """decode_image_task reports a failing chunk on its result
         instead of raising (the contract the batch loop relies on)."""
         from repro.jpeg import parse_jpeg
-        from repro.jpeg.decoder import component_tables_from_info
-        from repro.jpeg.parallel_huffman import RestartSegment
-        from repro.service.batch import decode_segment_task
+        from repro.jpeg.speculative import plan_scan
+        from repro.service.batch import decode_image_task
 
-        info = parse_jpeg(corpus[1])
-        seg = RestartSegment(index=0, byte_start=0, byte_stop=1,
-                             mcu_start=0,
-                             mcu_count=info.restart_interval)
+        plan = plan_scan(parse_jpeg(corpus[1]), 2)
+        chunk, data, _, tables, engine, term, interval = plan.task(0, "fast")
+        assert chunk.known
         # Invalid geometry makes the task fail before any bit is read.
-        seg_out, planes, err_type, err, span = decode_segment_task(
-            seg, b"\x00", (0, 16, "4:2:2"),
-            component_tables_from_info(info), "fast")
-        assert seg_out is seg
-        assert planes is None
-        assert err_type == "JpegError"
-        assert "invalid image dimensions" in err
-        assert span.duration_s >= 0
+        res = decode_image_task(
+            ImageRequest(data=b""), chunk=(chunk, data, (0, 16, "4:2:2"),
+                                           tables, engine, term, interval))
+        assert res.chunk is None
+        assert not res.ok
+        assert res.error_type == "JpegError"
+        assert "invalid image dimensions" in res.error
+        assert res.spans[0].duration_s >= 0
 
     def test_unknown_platform_reported(self, corpus):
         req = ImageRequest(data=corpus[0], mode="simd", platform="RTX 9999")
@@ -208,8 +209,8 @@ class TestQueueBackpressure:
             SubmissionQueue(capacity=0)
 
     def test_service_backpressure_and_drain(self, corpus, sequential_rgbs):
-        with DecodeService(batch_size=2, queue_capacity=2,
-                           backend="serial") as svc:
+        with DecodeSession(max_batch=2, queue_capacity=2,
+                           backend="serial", pump=False) as svc:
             svc.submit(corpus[0])
             svc.submit(corpus[1])
             with pytest.raises(QueueFullError):
@@ -218,7 +219,9 @@ class TestQueueBackpressure:
             first = svc.run_once()        # drain one batch ...
             assert first is not None and first.ok
             svc.submit(corpus[2])         # ... and submission succeeds
-            batches = svc.drain()
+            batches = []
+            while (batch := svc.run_once()) is not None:
+                batches.append(batch)
             assert svc.run_once() is None
         results = list(first) + [r for b in batches for r in b]
         # Ids are unique and monotonic; the rejected submission's id (2)
@@ -230,7 +233,7 @@ class TestQueueBackpressure:
         assert svc.stats.images_ok == 3
 
     def test_closed_service_rejects_submissions(self, corpus):
-        svc = DecodeService(backend="serial")
+        svc = DecodeSession(backend="serial", pump=False)
         svc.close()
         with pytest.raises(ServiceClosedError):
             svc.submit(corpus[0])

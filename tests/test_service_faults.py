@@ -30,7 +30,6 @@ from repro.jpeg import EncoderSettings, decode_jpeg, encode_jpeg
 from repro.service import (
     BatchDecoder,
     DecodeHTTPServer,
-    DecodeService,
     DecodeSession,
     FaultDirective,
     FaultPlan,
@@ -420,7 +419,7 @@ class TestDeadlines:
         with pytest.raises(ServiceError):
             DecodeSession(backend="serial", default_deadline_ms=0,
                           pump=False)
-        with DecodeService(backend="serial") as svc:
+        with DecodeSession(backend="serial", pump=False) as svc:
             with pytest.raises(ServiceError):
                 svc.submit(ImageRequest(data=b"x", deadline_ms=-5))
 

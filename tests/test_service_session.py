@@ -16,7 +16,6 @@ from repro.errors import QueueFullError, ServiceClosedError
 from repro.jpeg import EncoderSettings, decode_jpeg, encode_jpeg
 from repro.service import (
     DecodeHandle,
-    DecodeService,
     DecodeSession,
     ImageRequest,
     SubmissionQueue,
@@ -235,27 +234,19 @@ class TestSessionLifecycle:
         import json
         json.dumps(snap)   # must be JSON-serializable end to end
 
-
-class TestFacadeCompat:
-    """DecodeService is now a facade over a pump-less session; spot-check
-    the delegation the PR-2/PR-3 suites rely on (those suites still run
-    unchanged in test_service_batch.py / test_scheduler.py)."""
-
-    def test_facade_exposes_session(self, corpus, sequential_rgbs):
-        with DecodeService(batch_size=2, backend="serial") as svc:
-            assert isinstance(svc.session, DecodeSession)
-            assert svc.batch_size == 2
-            rid = svc.submit(corpus[0])
-            assert rid == 0
-            batch = svc.run_once()
-        assert np.array_equal(batch.results[0].rgb, sequential_rgbs[0])
-        assert svc.stats.batches == 1
-
-    def test_facade_close_does_not_decode_leftovers(self, corpus):
-        svc = DecodeService(batch_size=2, backend="serial")
-        svc.submit(corpus[0])
-        svc.close()
-        assert svc.stats.batches == 0
+    def test_images_split_counts_unscheduled_fanout(self, corpus,
+                                                    sequential_rgbs):
+        """A lone DRI image in a default (unscheduled) session fans out
+        at its restart markers, and the service counts it as split."""
+        with DecodeSession(workers=2, backend="thread", pump=False) as sess:
+            handle = sess.submit(corpus[1])
+            sess.run_once()
+            result = handle.result(timeout=0)
+            snap = sess.stats_snapshot()
+        assert result.ok and result.segments > 1
+        assert np.array_equal(result.rgb, sequential_rgbs[1])
+        assert sess.stats.images_split == 1
+        assert snap["images_split"] == 1
 
 
 class TestQueueStress:
